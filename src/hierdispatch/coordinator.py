@@ -89,11 +89,6 @@ class RunResult:
     events_processed: int
 
 
-class InsufficientIdleAgents(Exception):
-    """A rebalance could not find enough idle agents; the remainder is
-    deferred to the next planning epoch rather than raised in normal runs."""
-
-
 def apply_region_rebalance(state: SystemState, old_x: dict, new_x: dict,
                            world: World) -> list[Transfer]:
     """Move idle agents from over- to under-allocated regions.

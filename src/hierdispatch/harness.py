@@ -32,7 +32,7 @@ from .lowlevel import MCTSParams
 from .simulator import Agent, AgentStatus, SystemState
 from .spatial import (RegionPartition, TravelModel, World, load_depots,
                       make_grid, partition_regions, resolve_depots)
-from .units import MS_PER_MINUTE, hours_to_ms
+from .units import MS_PER_MINUTE, hours_to_ms, seconds_to_ms
 
 
 class ConfigError(ValueError):
@@ -227,8 +227,8 @@ def load_failure_schedule(path) -> list[FailureEvent]:
             raise ValueError(f"failure file {path}: expected columns {sorted(required)}")
         for row in reader:
             out.append(FailureEvent(agent_id=int(row["agent_id"]),
-                                    start_ms=int(float(row["start_time_s"]) * 1000),
-                                    duration_ms=int(float(row["duration_s"]) * 1000)))
+                                    start_ms=seconds_to_ms(float(row["start_time_s"])),
+                                    duration_ms=seconds_to_ms(float(row["duration_s"]))))
     return out
 
 
@@ -250,10 +250,16 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                   travel=TravelModel(speed_mph=cfg.speed_mph),
                   partition=partition)
     failures = _build_failures(cfg)
+    down_until: dict[int, int] = {}  # failures are sorted by start
     for f in failures:
         if not (0 <= f.agent_id < cfg.num_agents):
             raise ConfigError(f"failures: agent_id {f.agent_id} is not in "
                               f"the fleet (num_agents={cfg.num_agents})")
+        if f.start_ms < down_until.get(f.agent_id, f.start_ms):
+            raise ConfigError(f"failures: agent_id {f.agent_id} has overlapping "
+                              f"windows (one starts at {f.start_ms / 1000:g} s, "
+                              f"before the previous one ends)")
+        down_until[f.agent_id] = f.start_ms + f.duration_ms
     return Scenario(config=cfg, world=world, model=model, failures=failures,
                     horizon_ms=hours_to_ms(cfg.horizon_hours))
 

@@ -21,13 +21,15 @@ running cost bounds, which makes the exploration constant scale-free.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from operator import getitem
 
 import numpy as np
 
 from .demand import DemandModel, Incident, IncidentChain, sample_chain
-from .simulator import (AgentStatus, SystemState, advance,
+from .simulator import (_RESPONDING, _SERVICING, SystemState, advance,
                         assign_depot, greedy_dispatch_pending)
 from .spatial import Depot, World
 from .units import MS_PER_HOUR
@@ -113,57 +115,42 @@ def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
         bound *= free - i
         if bound > max_joint:
             return None
-    actions: list[AllocationAction] = []
-    depot_ids = sorted(slots)
-    partial: list[tuple[int, int]] = []
-
-    def dfs(i):
-        if i == len(idle):
-            actions.append(AllocationAction(tuple(partial)))
-            return
-        for d in depot_ids:
-            if slots[d] > 0:
-                slots[d] -= 1
-                partial.append((idle[i].id, d))
-                dfs(i + 1)
-                partial.pop()
-                slots[d] += 1
-
-    dfs(0)
-    return actions
+    # k-permutations of the free slots come out in lexicographic order of
+    # depot ids; a depot with several free slots repeats a tuple, kept once.
+    # Every action shares one (agent_id, depot_id) pair object per choice.
+    pairs = [{d: (a.id, d) for d in slots} for a in idle]
+    slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
+    return [AllocationAction(tuple(map(getitem, pairs, depots)))
+            for depots in dict.fromkeys(itertools.permutations(slot_list, len(idle)))]
 
 
 def apply_allocation(state: SystemState, assignment, world: World) -> None:
     """Apply a joint assignment atomically (no transient capacity clashes)."""
-    ids = [agent_id for agent_id, _ in assignment]
-    for agent_id in ids:
-        state.agent(agent_id).depot = -1
+    ids = {agent_id for agent_id, _ in assignment}
+    for agent in state.agents:
+        if agent.id in ids:
+            agent.depot = -1
     for agent_id, depot_id in assignment:
         assign_depot(state, agent_id, depot_id, world)
 
 
-def _free_time(agent, candidate_ms: int) -> int:
-    """When the agent next becomes dispatchable, at or after candidate_ms."""
-    if agent.failure_window is not None:
-        start, end = agent.failure_window
-        if start <= candidate_ms < end:
-            return end
-    return candidate_ms
-
-
 def _next_dispatch_event(state: SystemState) -> int | None:
     """Earliest future time a busy or failed agent could take the queue."""
+    clock = state.clock_ms
     best = None
     for a in state.agents:
-        if a.status is AgentStatus.RESPONDING:
-            t = _free_time(a, a.arrive_ms + a.incident.service_duration_ms)
-        elif a.status is AgentStatus.SERVICING:
-            t = _free_time(a, a.busy_until)
-        elif a.is_failed(state.clock_ms):
-            t = a.failure_window[1]
+        status = a.status
+        window = a.failure_window
+        if status is _RESPONDING or status is _SERVICING:
+            t = (a.arrive_ms + a.incident.service_duration_ms
+                 if status is _RESPONDING else a.busy_until)
+            if window is not None and window[0] <= t < window[1]:
+                t = window[1]  # free, but failed until the window ends
+        elif window is not None and window[0] <= clock < window[1]:
+            t = window[1]
         else:
             continue
-        if t > state.clock_ms and (best is None or t < best):
+        if t > clock and (best is None or t < best):
             best = t
     return best
 
@@ -178,25 +165,30 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
     (cost, next_pos, done) where done means the chain is exhausted.
     """
     cost = 0.0
+    n = len(incidents)
+    pending = state.pending
     while True:
-        next_inc = incidents[pos].report_time_ms if pos < len(incidents) else None
-        t_free = _next_dispatch_event(state) if state.pending else None
-        times = [t for t in (next_inc, t_free) if t is not None and t < end_ms]
-        if not times:
-            advance(state, end_ms, world)
-            return cost, pos, pos >= len(incidents)
-        t = min(times)
+        # the next event before end_ms: an arrival, or an agent freeing
+        # up for a waiting incident; end_ms itself when there is none
+        t = end_ms
+        if pos < n and incidents[pos].report_time_ms < t:
+            t = incidents[pos].report_time_ms
+        if pending:
+            t_free = _next_dispatch_event(state)
+            if t_free is not None and t_free < t:
+                t = t_free
         advance(state, t, world)
-        injected = False
-        if next_inc == t:
-            state.pending.append(incidents[pos])
+        if t == end_ms:
+            return cost, pos, pos >= n
+        injected = pos < n and incidents[pos].report_time_ms == t
+        if injected:
+            pending.append(incidents[pos])
             pos += 1
-            injected = True
         for rec in greedy_dispatch_pending(state, world):
             t_h = (rec["dispatch_ms"] - t0_ms) / 1000.0
             cost += alpha ** t_h * rec["response_s"]
         if injected and stop_after_incident:
-            return cost, pos, pos >= len(incidents)
+            return cost, pos, pos >= n
 
 
 def rollout(rs: RegionState, chain_tail: IncidentChain, horizon_ms: int,
@@ -357,13 +349,18 @@ class _Tree:
         return child
 
     def _select(self, node: SearchNode) -> SearchNode:
+        # exploit is the child's mean cost (-utility_sum / visits; every
+        # child has been visited) mapped to [0, 1] by the cost bounds
         log_n = math.log(node.visits)
-        span = self.cost_hi - self.cost_lo
+        hi = self.cost_hi
+        span = hi - self.cost_lo
         c = self.params.uct_c
+        sqrt = math.sqrt
         best, best_score = None, -math.inf
         for child in node.children.values():
-            exploit = 0.5 if span <= 0 else (self.cost_hi - child.mean_cost) / span
-            score = exploit + c * math.sqrt(log_n / child.visits)
+            visits = child.visits
+            exploit = 0.5 if span <= 0 else (hi + child.utility_sum / visits) / span
+            score = exploit + c * sqrt(log_n / visits)
             if score > best_score:
                 best, best_score = child, score
         return best

@@ -42,6 +42,14 @@ class AgentStatus(Enum):
     SERVICING = "servicing"
 
 
+# An Enum member lookup such as AgentStatus.WAITING costs ~170 ns on
+# CPython 3.11, a global read ~6 ns; the hot loops compare against these.
+_WAITING = AgentStatus.WAITING
+_IN_TRANSIT = AgentStatus.IN_TRANSIT
+_RESPONDING = AgentStatus.RESPONDING
+_SERVICING = AgentStatus.SERVICING
+
+
 @dataclass(slots=True)
 class Agent:
     id: int
@@ -69,7 +77,7 @@ class Agent:
 
     def is_dispatchable(self, t_ms: int) -> bool:
         """Free for a new dispatch: waiting or in transit, and not failed."""
-        return (self.status in (AgentStatus.WAITING, AgentStatus.IN_TRANSIT)
+        return ((self.status is _WAITING or self.status is _IN_TRANSIT)
                 and not self.is_failed(t_ms))
 
 
@@ -81,7 +89,7 @@ class SystemState:
 
     def clone(self) -> "SystemState":
         return SystemState(self.clock_ms, list(self.pending),
-                           [a.clone() for a in self.agents])
+                           list(map(Agent.clone, self.agents)))
 
     def agent(self, agent_id: int) -> Agent:
         for a in self.agents:
@@ -117,42 +125,11 @@ class SimEvent:
     payload_id: int = 0
 
 
-def _begin_move(agent: Agent, t_ms: int, dest: Position, world: World) -> None:
+def _begin_move(agent: Agent, t_ms: int, dest: Position, travel_s: float) -> None:
     agent.move_from = agent.position
     agent.move_started_ms = t_ms
     agent.destination = dest
-    agent.arrive_ms = t_ms + ceil_ms(world.travel.travel_time(agent.position, dest))
-
-
-def _step_agent(agent: Agent, to_ms: int, world: World) -> None:
-    """Replay one agent's internal transitions up to to_ms."""
-    while True:
-        if agent.status is AgentStatus.WAITING:
-            return
-        if agent.status is AgentStatus.SERVICING:
-            if agent.busy_until > to_ms:
-                return
-            t = agent.busy_until
-            agent.busy_until = None
-            agent.incident = None
-            agent.status = AgentStatus.IN_TRANSIT
-            _begin_move(agent, t, world.depot_pos(agent.depot), world)
-            continue
-        # moving: responding or in_transit
-        if agent.arrive_ms <= to_ms:
-            agent.position = agent.destination
-            if agent.status is AgentStatus.RESPONDING:
-                agent.status = AgentStatus.SERVICING
-                agent.busy_until = agent.arrive_ms + agent.incident.service_duration_ms
-                agent.arrive_ms = None
-                continue
-            agent.status = AgentStatus.WAITING
-            agent.arrive_ms = None
-            return
-        frac = (to_ms - agent.move_started_ms) / (agent.arrive_ms - agent.move_started_ms)
-        agent.position = (agent.move_from[0] + frac * (agent.destination[0] - agent.move_from[0]),
-                          agent.move_from[1] + frac * (agent.destination[1] - agent.move_from[1]))
-        return
+    agent.arrive_ms = t_ms + ceil_ms(travel_s)
 
 
 def advance(state: SystemState, to_ms: int, world: World) -> SystemState:
@@ -161,10 +138,45 @@ def advance(state: SystemState, to_ms: int, world: World) -> SystemState:
         raise ValueError(f"cannot advance backwards ({state.clock_ms} -> {to_ms})")
     if to_ms == state.clock_ms:
         return state
-    for agent in state.agents:
-        _step_agent(agent, to_ms, world)
+    for agent in state.agents:  # replay its transitions up to to_ms
+        status = agent.status
+        while status is not _WAITING:
+            if status is _SERVICING:
+                if agent.busy_until > to_ms:
+                    break
+                t = agent.busy_until
+                agent.busy_until = None
+                agent.incident = None
+                status = agent.status = _IN_TRANSIT
+                home = world.depot_pos(agent.depot)
+                _begin_move(agent, t, home, world.travel.travel_time(agent.position, home))
+            elif agent.arrive_ms <= to_ms:  # moving: responding or in_transit
+                agent.position = agent.destination
+                if status is _RESPONDING:
+                    status = agent.status = _SERVICING
+                    agent.busy_until = agent.arrive_ms + agent.incident.service_duration_ms
+                else:
+                    status = agent.status = _WAITING
+                agent.arrive_ms = None
+            else:  # still on its way: interpolate along the segment
+                frac = (to_ms - agent.move_started_ms) / (agent.arrive_ms - agent.move_started_ms)
+                frm, dest = agent.move_from, agent.destination
+                agent.position = (frm[0] + frac * (dest[0] - frm[0]),
+                                  frm[1] + frac * (dest[1] - frm[1]))
+                break
     state.clock_ms = to_ms
     return state
+
+
+def _send(state: SystemState, agent: Agent, incident: Incident,
+          dest: Position, travel_s: float) -> float:
+    """Start agent's response to incident at dest, travel_s away; returns
+    the response time in seconds."""
+    clock = state.clock_ms
+    agent.status = _RESPONDING
+    agent.incident = incident
+    _begin_move(agent, clock, dest, travel_s)
+    return (clock - incident.report_time_ms + (agent.arrive_ms - clock)) / 1000.0
 
 
 def dispatch(state: SystemState, agent_id: int, incident: Incident,
@@ -175,17 +187,15 @@ def dispatch(state: SystemState, agent_id: int, incident: Incident,
     rounded up to the millisecond tick.
     """
     agent = state.agent(agent_id)
-    if agent.status in (AgentStatus.RESPONDING, AgentStatus.SERVICING):
+    if agent.status is _RESPONDING or agent.status is _SERVICING:
         raise AgentBusy(f"agent {agent_id} is {agent.status.value}")
     try:
         state.pending.remove(incident)
     except ValueError:
         raise UnknownIncident(f"incident {incident.id} is not pending") from None
-    agent.status = AgentStatus.RESPONDING
-    agent.incident = incident
-    _begin_move(agent, state.clock_ms, world.cell_pos(incident.cell), world)
-    return (state.clock_ms - incident.report_time_ms
-            + (agent.arrive_ms - state.clock_ms)) / 1000.0
+    dest = world.cell_pos(incident.cell)
+    return _send(state, agent, incident, dest,
+                 world.travel.travel_time(agent.position, dest))
 
 
 def depot_occupancy(state: SystemState, depot_id: int,
@@ -198,21 +208,29 @@ def depot_occupancy(state: SystemState, depot_id: int,
 def assign_depot(state: SystemState, agent_id: int, depot_id: int,
                  world: World) -> SystemState:
     """Reassign an idle agent's home depot and send it on its way."""
-    agent = state.agent(agent_id)
-    if agent.status in (AgentStatus.RESPONDING, AgentStatus.SERVICING):
+    agent, occupied = None, 0
+    for a in state.agents:  # one pass: find the agent, count the depot
+        if a.id == agent_id:
+            agent = a
+        elif a.depot == depot_id:
+            occupied += 1
+    if agent is None:
+        raise KeyError(f"no agent {agent_id}")
+    if agent.status is _RESPONDING or agent.status is _SERVICING:
         raise AgentBusy(f"agent {agent_id} is {agent.status.value}")
     depot = world.depot(depot_id)
-    if depot_occupancy(state, depot_id, exclude_agent=agent_id) >= depot.capacity:
+    if occupied >= depot.capacity:
         raise DepotFull(f"depot {depot_id} is at capacity {depot.capacity}")
     agent.depot = depot_id
     dest = world.depot_pos(depot_id)
     if agent.position == dest:
-        agent.status = AgentStatus.WAITING
+        agent.status = _WAITING
         agent.destination = dest
         agent.arrive_ms = None
     else:
-        agent.status = AgentStatus.IN_TRANSIT
-        _begin_move(agent, state.clock_ms, dest, world)
+        agent.status = _IN_TRANSIT
+        _begin_move(agent, state.clock_ms, dest,
+                    world.travel.travel_time(agent.position, dest))
     return state
 
 
@@ -233,16 +251,27 @@ def greedy_dispatch_pending(state: SystemState, world: World) -> list[dict]:
     dispatch: incident, agent_id, dispatch_ms, arrive_ms, response_s.
     """
     records = []
-    while state.pending:
-        incident = state.pending[0]
-        candidates = [a for a in state.agents if a.is_dispatchable(state.clock_ms)]
-        if not candidates:
-            break
+    pending = state.pending
+    clock = state.clock_ms
+    travel_time = world.travel.travel_time
+    while pending:
+        incident = pending[0]
         target = world.cell_pos(incident.cell)
-        best = min(candidates,
-                   key=lambda a: (world.travel.travel_time(a.position, target), a.id))
-        response_s = dispatch(state, best.id, incident, world)
+        best = None
+        for a in state.agents:  # dispatchable: free, and not failed now
+            if a.status is not _WAITING and a.status is not _IN_TRANSIT:
+                continue
+            window = a.failure_window
+            if window is not None and window[0] <= clock < window[1]:
+                continue
+            t = travel_time(a.position, target)
+            if best is None or t < best_t or (t == best_t and a.id < best.id):
+                best, best_t = a, t
+        if best is None:
+            break
+        del pending[0]
+        response_s = _send(state, best, incident, target, best_t)
         records.append({"incident": incident, "agent_id": best.id,
-                        "dispatch_ms": state.clock_ms,
+                        "dispatch_ms": clock,
                         "arrive_ms": best.arrive_ms, "response_s": response_s})
     return records

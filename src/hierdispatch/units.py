@@ -26,9 +26,5 @@ def ceil_ms(seconds: float) -> int:
     return int(math.ceil(seconds * MS_PER_SECOND - 1e-9))
 
 
-def ms_to_seconds(ms: int) -> float:
-    return ms / MS_PER_SECOND
-
-
 def hours_to_ms(hours: float) -> int:
     return int(round(hours * MS_PER_HOUR))

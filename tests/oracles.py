@@ -1,12 +1,21 @@
 """Independent reference implementations used to check analytic code.
 
 These deliberately avoid the package's own simulator and queueing
-formulas so that each check has two routes to the same number.
+formulas so that each check has two routes to the same number. The
+reference replay loop at the end is the simulator's earlier, plainer
+form of the same functions.
 """
+
+from __future__ import annotations
 
 import heapq
 
 import numpy as np
+
+from hierdispatch.lowlevel import PASS, AllocationAction, _free_slots
+from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
+                                    UnknownIncident)
+from hierdispatch.units import ceil_ms
 
 
 def simulate_mmc_mean_wait(lam, mu, c, n_arrivals, seed, warmup=50_000):
@@ -74,3 +83,237 @@ def brute_force_two_partitions(points, weights):
         if cost < best_cost:
             best, best_cost = groups, cost
     return best, best_cost
+
+
+# -- reference replay loop ---------------------------------------------
+# The simulator's and the search's replay functions as they were before
+# their per-call overhead was cut, kept verbatim (plain loops, method
+# calls, list.remove). The property tests in test_replay_reference.py
+# check the package's versions against these with ==.
+
+def _begin_move(agent: Agent, t_ms: int, dest: Position, world: World) -> None:
+    agent.move_from = agent.position
+    agent.move_started_ms = t_ms
+    agent.destination = dest
+    agent.arrive_ms = t_ms + ceil_ms(world.travel.travel_time(agent.position, dest))
+
+
+def _step_agent(agent: Agent, to_ms: int, world: World) -> None:
+    """Replay one agent's internal transitions up to to_ms."""
+    while True:
+        if agent.status is AgentStatus.WAITING:
+            return
+        if agent.status is AgentStatus.SERVICING:
+            if agent.busy_until > to_ms:
+                return
+            t = agent.busy_until
+            agent.busy_until = None
+            agent.incident = None
+            agent.status = AgentStatus.IN_TRANSIT
+            _begin_move(agent, t, world.depot_pos(agent.depot), world)
+            continue
+        # moving: responding or in_transit
+        if agent.arrive_ms <= to_ms:
+            agent.position = agent.destination
+            if agent.status is AgentStatus.RESPONDING:
+                agent.status = AgentStatus.SERVICING
+                agent.busy_until = agent.arrive_ms + agent.incident.service_duration_ms
+                agent.arrive_ms = None
+                continue
+            agent.status = AgentStatus.WAITING
+            agent.arrive_ms = None
+            return
+        frac = (to_ms - agent.move_started_ms) / (agent.arrive_ms - agent.move_started_ms)
+        agent.position = (agent.move_from[0] + frac * (agent.destination[0] - agent.move_from[0]),
+                          agent.move_from[1] + frac * (agent.destination[1] - agent.move_from[1]))
+        return
+
+
+def advance(state: SystemState, to_ms: int, world: World) -> SystemState:
+    """Move the clock forward, updating every agent in place."""
+    if to_ms < state.clock_ms:
+        raise ValueError(f"cannot advance backwards ({state.clock_ms} -> {to_ms})")
+    if to_ms == state.clock_ms:
+        return state
+    for agent in state.agents:
+        _step_agent(agent, to_ms, world)
+    state.clock_ms = to_ms
+    return state
+
+
+def dispatch(state: SystemState, agent_id: int, incident: Incident,
+             world: World) -> float:
+    """Send an agent to a pending incident; returns response time in seconds.
+
+    Response time = queue delay (report to now) + travel, with travel
+    rounded up to the millisecond tick.
+    """
+    agent = state.agent(agent_id)
+    if agent.status in (AgentStatus.RESPONDING, AgentStatus.SERVICING):
+        raise AgentBusy(f"agent {agent_id} is {agent.status.value}")
+    try:
+        state.pending.remove(incident)
+    except ValueError:
+        raise UnknownIncident(f"incident {incident.id} is not pending") from None
+    agent.status = AgentStatus.RESPONDING
+    agent.incident = incident
+    _begin_move(agent, state.clock_ms, world.cell_pos(incident.cell), world)
+    return (state.clock_ms - incident.report_time_ms
+            + (agent.arrive_ms - state.clock_ms)) / 1000.0
+
+
+def depot_occupancy(state: SystemState, depot_id: int,
+                    exclude_agent: int | None = None) -> int:
+    """Agents assigned to a depot; busy agents keep their slot reserved."""
+    return sum(1 for a in state.agents
+               if a.depot == depot_id and a.id != exclude_agent)
+
+
+def assign_depot(state: SystemState, agent_id: int, depot_id: int,
+                 world: World) -> SystemState:
+    """Reassign an idle agent's home depot and send it on its way."""
+    agent = state.agent(agent_id)
+    if agent.status in (AgentStatus.RESPONDING, AgentStatus.SERVICING):
+        raise AgentBusy(f"agent {agent_id} is {agent.status.value}")
+    depot = world.depot(depot_id)
+    if depot_occupancy(state, depot_id, exclude_agent=agent_id) >= depot.capacity:
+        raise DepotFull(f"depot {depot_id} is at capacity {depot.capacity}")
+    agent.depot = depot_id
+    dest = world.depot_pos(depot_id)
+    if agent.position == dest:
+        agent.status = AgentStatus.WAITING
+        agent.destination = dest
+        agent.arrive_ms = None
+    else:
+        agent.status = AgentStatus.IN_TRANSIT
+        _begin_move(agent, state.clock_ms, dest, world)
+    return state
+
+
+
+def greedy_dispatch_pending(state: SystemState, world: World) -> list[dict]:
+    """Dispatch the nearest free agent to each queued incident (FIFO).
+
+    Runs until the queue is empty or no agent is dispatchable; ties in
+    travel time go to the lowest agent id. Returns one record per
+    dispatch: incident, agent_id, dispatch_ms, arrive_ms, response_s.
+    """
+    records = []
+    while state.pending:
+        incident = state.pending[0]
+        candidates = [a for a in state.agents if a.is_dispatchable(state.clock_ms)]
+        if not candidates:
+            break
+        target = world.cell_pos(incident.cell)
+        best = min(candidates,
+                   key=lambda a: (world.travel.travel_time(a.position, target), a.id))
+        response_s = dispatch(state, best.id, incident, world)
+        records.append({"incident": incident, "agent_id": best.id,
+                        "dispatch_ms": state.clock_ms,
+                        "arrive_ms": best.arrive_ms, "response_s": response_s})
+    return records
+
+
+def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
+    """All feasible joint allocations for the region's idle agents.
+
+    Returns a list of AllocationAction, or None when the joint count would
+    exceed max_joint (callers then decompose the decision per agent).
+    Returns [PASS] when there is nothing to decide.
+    """
+    idle = sorted(rs.state.idle_agents(), key=lambda a: a.id)
+    if not idle:
+        return [PASS]
+    slots = _free_slots(rs, {a.id for a in idle})
+    free = sum(slots.values())
+    if free < len(idle):
+        return [PASS]  # no feasible reshuffle; leave assignments alone
+    bound = 1
+    for i in range(len(idle)):
+        bound *= free - i
+        if bound > max_joint:
+            return None
+    actions: list[AllocationAction] = []
+    depot_ids = sorted(slots)
+    partial: list[tuple[int, int]] = []
+
+    def dfs(i):
+        if i == len(idle):
+            actions.append(AllocationAction(tuple(partial)))
+            return
+        for d in depot_ids:
+            if slots[d] > 0:
+                slots[d] -= 1
+                partial.append((idle[i].id, d))
+                dfs(i + 1)
+                partial.pop()
+                slots[d] += 1
+
+    dfs(0)
+    return actions
+
+
+def apply_allocation(state: SystemState, assignment, world: World) -> None:
+    """Apply a joint assignment atomically (no transient capacity clashes)."""
+    ids = [agent_id for agent_id, _ in assignment]
+    for agent_id in ids:
+        state.agent(agent_id).depot = -1
+    for agent_id, depot_id in assignment:
+        assign_depot(state, agent_id, depot_id, world)
+
+
+def _free_time(agent, candidate_ms: int) -> int:
+    """When the agent next becomes dispatchable, at or after candidate_ms."""
+    if agent.failure_window is not None:
+        start, end = agent.failure_window
+        if start <= candidate_ms < end:
+            return end
+    return candidate_ms
+
+
+def _next_dispatch_event(state: SystemState) -> int | None:
+    """Earliest future time a busy or failed agent could take the queue."""
+    best = None
+    for a in state.agents:
+        if a.status is AgentStatus.RESPONDING:
+            t = _free_time(a, a.arrive_ms + a.incident.service_duration_ms)
+        elif a.status is AgentStatus.SERVICING:
+            t = _free_time(a, a.busy_until)
+        elif a.is_failed(state.clock_ms):
+            t = a.failure_window[1]
+        else:
+            continue
+        if t > state.clock_ms and (best is None or t < best):
+            best = t
+    return best
+
+
+def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
+          alpha: float, t0_ms: int, end_ms: int, stop_after_incident: bool):
+    """Replay incident arrivals and queue dispatches under greedy policy.
+
+    Accumulates the discounted response-time cost of every dispatch that
+    happens before end_ms. Stops after processing one incident when
+    stop_after_incident is set; otherwise runs to the horizon. Returns
+    (cost, next_pos, done) where done means the chain is exhausted.
+    """
+    cost = 0.0
+    while True:
+        next_inc = incidents[pos].report_time_ms if pos < len(incidents) else None
+        t_free = _next_dispatch_event(state) if state.pending else None
+        times = [t for t in (next_inc, t_free) if t is not None and t < end_ms]
+        if not times:
+            advance(state, end_ms, world)
+            return cost, pos, pos >= len(incidents)
+        t = min(times)
+        advance(state, t, world)
+        injected = False
+        if next_inc == t:
+            state.pending.append(incidents[pos])
+            pos += 1
+            injected = True
+        for rec in greedy_dispatch_pending(state, world):
+            t_h = (rec["dispatch_ms"] - t0_ms) / 1000.0
+            cost += alpha ** t_h * rec["response_s"]
+        if injected and stop_after_incident:
+            return cost, pos, pos >= len(incidents)

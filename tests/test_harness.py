@@ -121,6 +121,32 @@ class TestScenario:
         assert failures[0].start_ms == 7_200_000
         assert failures[0].duration_ms == 28_800_000
 
+    def test_failure_schedule_rounds_to_nearest_ms(self, tmp_path):
+        p = tmp_path / "failures.csv"
+        p.write_text("agent_id,start_time_s,duration_s\n0,1.001,0.0007\n")
+        failures = load_failure_schedule(p)
+        assert failures[0].start_ms == 1001
+        assert failures[0].duration_ms == 1
+
+    @pytest.mark.parametrize("windows", [
+        [(2.0, 8.0), (3.0, 2.0)],   # nested: (2 h, 10 h) holds (3 h, 5 h)
+        [(2.0, 4.0), (4.0, 4.0), (5.0, 2.0)],  # third overlaps the second
+        [(4.0, 2.0), (2.0, 4.0)],   # partly overlapping, listed out of order
+    ])
+    def test_overlapping_failure_windows_rejected(self, tmp_path, windows):
+        cfg = tiny_config(tmp_path, failures=[
+            {"agent_id": 1, "start_hour": start, "duration_hours": hours}
+            for start, hours in windows])
+        with pytest.raises(ConfigError, match="failures"):
+            build_scenario(cfg)
+
+    def test_touching_failure_windows_allowed(self, tmp_path):
+        cfg = tiny_config(tmp_path, failures=[
+            {"agent_id": 1, "start_hour": 2.0, "duration_hours": 2.0},
+            {"agent_id": 1, "start_hour": 4.0, "duration_hours": 2.0},
+            {"agent_id": 2, "start_hour": 3.0, "duration_hours": 2.0}])
+        assert len(build_scenario(cfg).failures) == 3
+
 
 class TestRunExperiment:
     def test_zero_incidents_empty_report(self, tmp_path):
