@@ -18,14 +18,12 @@ from .highlevel import Allocation, allocate, allocate_for_partition
 from .lowlevel import (ActionScoreMap, AllocationAction, MCTSParams,
                        MCTSResult, RegionState, decompose, enumerate_actions,
                        joint_action_count, mcts_search, plan_region_allocations,
-                       rollout, ucb_score)
+                       rollout)
 from .queueing import QueueParams, Unstable, mean_wait, p0, wait_probability
-from .simulator import (Agent, AgentBusy, AgentStatus, DepotFull, SimEvent,
-                        SystemState, UnknownIncident, UnknownRegion, advance,
-                        assign_depot, assign_region, dispatch,
-                        greedy_dispatch_pending)
+from .simulator import (Agent, AgentBusy, AgentStatus, DepotFull, SystemState,
+                        UnknownIncident, UnknownRegion, advance, assign_depot,
+                        assign_region, dispatch, greedy_dispatch_pending)
 from .spatial import (Cell, Depot, InfeasiblePartition, RegionPartition,
-                      TravelModel, World, make_grid, partition_regions,
-                      travel_time)
+                      TravelModel, World, make_grid, partition_regions)
 
 __version__ = "0.1.0"

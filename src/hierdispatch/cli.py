@@ -7,6 +7,7 @@ import csv
 import os
 import sys
 
+from .coordinator import PolicyMode
 from .harness import build_scenario, compare, load_config, run_experiment
 
 
@@ -63,7 +64,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config's seed list with one seed")
-    p_run.add_argument("--mode", choices=["baseline", "lowlevel", "hierarchical"],
+    p_run.add_argument("--mode", choices=[m.value for m in PolicyMode],
                        default=None, help="override the config's policy mode")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--trace", action="store_true",

@@ -2,14 +2,14 @@
 
 Runs the evaluation event loop: injects incidents, enforces greedy
 dispatch of the nearest free agent, triggers the planners, and handles
-responder failures. Planner policy by mode:
+responder failures. Planner policy by mode (the config's `mode`):
 
-* baseline_static   - never re-allocates after initialization.
-* low_level_only    - per-region depot search after every incident and on
-                      staleness (60 min without planning by default).
-* hierarchical      - low-level plus the inter-region allocator, run on
-                      failures, recoveries, staleness, and whenever a
-                      region's effective utilization crosses a threshold.
+* baseline      - never re-allocates after initialization.
+* lowlevel      - per-region depot search after every incident and on
+                  staleness (60 min without planning by default).
+* hierarchical  - low-level plus the inter-region allocator, run on
+                  failures, recoveries, staleness, and whenever a
+                  region's effective utilization crosses a threshold.
 
 An agent that fails mid-response finishes its current incident; the
 failure window only blocks new dispatches and excludes it from
@@ -21,22 +21,36 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 
 from .demand import DemandModel, IncidentChain, region_rates_at
 from .highlevel import allocate
 from .lowlevel import MCTSParams, apply_allocation, plan_region_allocations
-from .simulator import (EventKind, SimEvent, SystemState, advance,
-                        assign_depot, assign_region, depot_occupancy,
+from .simulator import (DispatchRecord, SystemState, advance, assign_depot,
+                        assign_region, depot_occupancy,
                         greedy_dispatch_pending)
 from .spatial import World
 from .units import MS_PER_HOUR, MS_PER_MINUTE
 
 
 class PolicyMode(Enum):
-    BASELINE_STATIC = "baseline_static"
-    LOW_LEVEL_ONLY = "low_level_only"
+    """Planner policy; the values are the config's mode names."""
+
+    BASELINE_STATIC = "baseline"
+    LOW_LEVEL_ONLY = "lowlevel"
     HIERARCHICAL = "hierarchical"
+
+
+class EventKind(IntEnum):
+    """Event kinds; the integer value is the tie-break priority at equal
+    timestamps (freed and recovered agents become dispatchable before a
+    simultaneous incident is handled; planning settles last)."""
+
+    AGENT_AVAILABLE = 0
+    AGENT_RECOVERY = 1
+    INCIDENT_OCCURRENCE = 2
+    AGENT_FAILURE = 3
+    PLANNING_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -57,18 +71,6 @@ class PlannerConfig:
     replan_interval_ms: int = 60 * MS_PER_MINUTE
     eta_per_hour: float = 3.0
     instability_threshold: float = 1.0
-
-
-@dataclass
-class DispatchRecord:
-    incident_id: int
-    cell: int
-    region: int
-    report_ms: int
-    dispatch_ms: int
-    arrive_ms: int
-    response_s: float
-    agent_id: int
 
 
 @dataclass
@@ -144,8 +146,9 @@ class Coordinator:
 
     # -- event helpers -------------------------------------------------
     def _push(self, heap, time_ms, kind, payload_id, payload=None):
-        event = SimEvent(time_ms=time_ms, kind=kind, payload_id=payload_id)
-        heapq.heappush(heap, (event, next(self._seq), payload))
+        # orders by (time, kind priority, payload id); seq is unique, so
+        # the payload itself is never compared
+        heapq.heappush(heap, (time_ms, kind, payload_id, next(self._seq), payload))
 
     def _log(self, time_ms, kind, agent_id="", incident_id="", detail=""):
         if self.trace is not None:
@@ -153,19 +156,13 @@ class Coordinator:
                              f"{agent_id},{incident_id},{detail}\n")
 
     def _record_dispatches(self, recs, result, heap):
+        result.records.extend(recs)
         for rec in recs:
-            inc = rec["incident"]
-            free_ms = rec["arrive_ms"] + inc.service_duration_ms
-            self._push(heap, free_ms, EventKind.AGENT_AVAILABLE, rec["agent_id"])
-            result.records.append(DispatchRecord(
-                incident_id=inc.id, cell=inc.cell,
-                region=self.world.partition.cell_to_region[inc.cell],
-                report_ms=inc.report_time_ms, dispatch_ms=rec["dispatch_ms"],
-                arrive_ms=rec["arrive_ms"], response_s=rec["response_s"],
-                agent_id=rec["agent_id"]))
-            self._log(rec["dispatch_ms"], EventKind.INCIDENT_OCCURRENCE,
-                      rec["agent_id"], inc.id,
-                      f"dispatched rt={rec['response_s']:.3f}")
+            self._push(heap, rec.arrive_ms + rec.incident.service_duration_ms,
+                       EventKind.AGENT_AVAILABLE, rec.agent_id)
+            self._log(rec.dispatch_ms, EventKind.INCIDENT_OCCURRENCE,
+                      rec.agent_id, rec.incident.id,
+                      f"dispatched rt={rec.response_s:.3f}")
 
     # -- planning ------------------------------------------------------
     def _available_counts(self, state: SystemState) -> dict[int, int]:
@@ -241,8 +238,7 @@ class Coordinator:
         self._decision_index += 1
         if high:
             self._run_high_level(state, result)
-        if low or high:
-            self._run_low_level(state)
+        self._run_low_level(state)
         result.planner_seconds.append(time.perf_counter() - started)
         return True
 
@@ -271,8 +267,7 @@ class Coordinator:
         last_plan_ms = state.clock_ms
 
         while heap:
-            event, _seq, payload = heapq.heappop(heap)
-            time_ms, kind, payload_id = event.time_ms, event.kind, event.payload_id
+            time_ms, kind, payload_id, _seq, payload = heapq.heappop(heap)
             if time_ms > horizon_ms:
                 break
             advance(state, time_ms, self.world)

@@ -203,29 +203,3 @@ def load_history(path, width: int, height: int):
         return []
     t0 = min(ts for _c, ts in rows)
     return [(c, seconds_to_ms((ts - t0).total_seconds())) for c, ts in rows]
-
-
-def write_chain(path, chain: IncidentChain, cells) -> None:
-    """Write a sampled chain: incident_id,report_time_s,gx,gy,service_duration_s."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["incident_id", "report_time_s", "gx", "gy", "service_duration_s"])
-        for inc in chain.incidents:
-            cell = cells[inc.cell]
-            writer.writerow([inc.id, f"{inc.report_time_ms / 1000:.3f}",
-                             cell.gx, cell.gy, f"{inc.service_duration_ms / 1000:.3f}"])
-
-
-def read_chain(path, width: int, height: int, horizon_ms: int) -> IncidentChain:
-    """Read a chain written by :func:`write_chain`."""
-    incidents = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            cell = int(row["gy"]) * width + int(row["gx"])
-            incidents.append(Incident(
-                id=int(row["incident_id"]), cell=cell,
-                report_time_ms=seconds_to_ms(float(row["report_time_s"])),
-                service_duration_ms=seconds_to_ms(float(row["service_duration_s"]))))
-    incidents.sort(key=lambda i: i.report_time_ms)
-    return IncidentChain(incidents=incidents, horizon_ms=horizon_ms)

@@ -43,9 +43,6 @@ class ChainMismatch(Exception):
     """compare() was given reports produced from different evaluation chains."""
 
 
-_MODES = {"baseline": PolicyMode.BASELINE_STATIC,
-          "lowlevel": PolicyMode.LOW_LEVEL_ONLY,
-          "hierarchical": PolicyMode.HIERARCHICAL}
 _TEST_BEDS = ("stationary", "nonstationary", "failures")
 
 
@@ -92,8 +89,8 @@ class ScenarioConfig:
         need(bool(self.depot_file), "depot_file", "is required")
         need(self.num_agents >= 1, "num_agents", "must be >= 1")
         need(self.num_regions >= 1, "num_regions", "must be >= 1")
-        need(self.mode in _MODES, "mode",
-             f"must be one of {sorted(_MODES)}")
+        modes = sorted(m.value for m in PolicyMode)
+        need(self.mode in modes, "mode", f"must be one of {modes}")
         need(self.test_bed in _TEST_BEDS, "test_bed",
              f"must be one of {_TEST_BEDS}")
         need(len(self.seeds) >= 1, "seeds", "need at least one seed")
@@ -342,16 +339,18 @@ class MetricsReport:
 
 
 def _write_incidents(path, records) -> None:
+    """One row per (DispatchRecord, region id) pair, in the given order."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["incident_id", "report_time_s", "cell",
                          "dispatch_time_s", "arrival_time_s",
                          "response_time_s", "agent_id", "region_id"])
-        for r in records:
-            writer.writerow([r.incident_id, f"{r.report_ms / 1000:.3f}", r.cell,
+        for r, region in records:
+            inc = r.incident
+            writer.writerow([inc.id, f"{inc.report_time_ms / 1000:.3f}", inc.cell,
                              f"{r.dispatch_ms / 1000:.3f}",
                              f"{r.arrive_ms / 1000:.3f}",
-                             f"{r.response_s:.3f}", r.agent_id, r.region])
+                             f"{r.response_s:.3f}", r.agent_id, region])
 
 
 def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
@@ -363,7 +362,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
     """
     scenario = build_scenario(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    mode = _MODES[cfg.mode]
+    mode = PolicyMode(cfg.mode)
     planner = PlannerConfig(
         mcts=MCTSParams(iterations=cfg.mcts_iterations, uct_c=cfg.uct_c,
                         discount=cfg.discount,
@@ -379,6 +378,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
     per_seed: dict[int, dict] = {}
     transfers = 0
     pending = 0
+    region_of = scenario.world.partition.cell_to_region
     for seed in cfg.seeds:
         chain = chain_for_seed(scenario, seed)
         fingerprints[seed] = chain_fingerprint(chain)
@@ -395,9 +395,10 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
         finally:
             if trace_file is not None:
                 trace_file.close()
-        records = sorted(result.records, key=lambda r: (r.report_ms, r.incident_id))
+        records = sorted(result.records,
+                         key=lambda r: (r.incident.report_time_ms, r.incident.id))
         _write_incidents(os.path.join(out_dir, f"incidents_seed{seed}.csv"),
-                         records)
+                         [(r, region_of[r.incident.cell]) for r in records])
         rts = [r.response_s for r in records]
         all_rt.extend(rts)
         planner_seconds.extend(result.planner_seconds)

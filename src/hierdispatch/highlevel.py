@@ -24,10 +24,6 @@ class Allocation:
     unstable: set[int] = field(default_factory=set)
     starved: bool = False
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def _wait(rate: float, eta: float, x: int) -> float:
     if rate <= 0:

@@ -185,8 +185,8 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
             pending.append(incidents[pos])
             pos += 1
         for rec in greedy_dispatch_pending(state, world):
-            t_h = (rec["dispatch_ms"] - t0_ms) / 1000.0
-            cost += alpha ** t_h * rec["response_s"]
+            t_h = (rec.dispatch_ms - t0_ms) / 1000.0
+            cost += alpha ** t_h * rec.response_s
         if injected and stop_after_incident:
             return cost, pos, pos >= n
 
@@ -231,27 +231,8 @@ class SearchNode:
         self.inbound = inbound  # action key on the edge from the parent
 
     @property
-    def mean_utility(self) -> float:
-        return self.utility_sum / self.visits if self.visits else 0.0
-
-    @property
     def mean_cost(self) -> float:
-        return -self.mean_utility
-
-
-def ucb_score(child: SearchNode, parent: SearchNode, c: float) -> float:
-    """UCT score of a child: mean utility plus exploration bonus.
-
-    Unvisited children score +inf so they are always tried first. The
-    in-tree selection uses the same exploration term but normalizes the
-    exploitation term with the tree's running cost bounds; that rescaling
-    is monotone, so orderings at c=0 are identical to this function's.
-    """
-    if parent.visits < 1:
-        raise ValueError("parent must have been visited")
-    if child.visits == 0:
-        return math.inf
-    return child.mean_utility + c * math.sqrt(math.log(parent.visits) / child.visits)
+        return -(self.utility_sum / self.visits if self.visits else 0.0)
 
 
 @dataclass
@@ -444,13 +425,12 @@ class _Tree:
 
 
 def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
-                params: MCTSParams, seed: int = 0, trace=None) -> MCTSResult:
+                params: MCTSParams, trace=None) -> MCTSResult:
     """Score the region's root allocation actions against one chain.
 
     The environment is deterministic given the chain, so the search
-    itself is deterministic; the seed is reserved for stochastic rollout
-    policies and does not affect the default greedy policy. Regions with
-    no idle agents need no decision and yield an empty score map.
+    itself is deterministic. Regions with no idle agents need no decision
+    and yield an empty score map.
     """
     if params.iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -515,7 +495,7 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                 trace = open(f"{trace_dir}/search_region{region}_chain{i}.csv", "w")
                 trace.write("iteration,action,score\n")
             try:
-                result = mcts_search(rs, chain, world, params, seed=i, trace=trace)
+                result = mcts_search(rs, chain, world, params, trace=trace)
             finally:
                 if trace is not None:
                     trace.close()

@@ -58,11 +58,6 @@ class TravelModel:
         return dist / self.speed_mph * 3600.0
 
 
-def travel_time(frm: Position, to: Position, model: TravelModel) -> float:
-    """Module-level alias for :meth:`TravelModel.travel_time`."""
-    return model.travel_time(frm, to)
-
-
 def make_grid(width: int, height: int, cell_size_miles: float = 1.0) -> list[Cell]:
     """Build the dense cell list for a width x height grid."""
     if width < 1 or height < 1:
@@ -96,9 +91,6 @@ class RegionPartition:
 
     def cells_of(self, region: int) -> list[int]:
         return sorted(c for c, r in self.cell_to_region.items() if r == region)
-
-    def region_of_cell(self, cell: int) -> int:
-        return self.cell_to_region[cell]
 
 
 def _weighted_kmeans(points: np.ndarray, weights: np.ndarray, k: int,

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ class TestGreedyDispatch:
         incs = [incident(i, cell=(7 * i) % 10, report_ms=i * 7 * MS_PER_MINUTE)
                 for i in range(12)]
         result = coord.run(state, chain(*incs), horizon_ms=2 * MS_PER_HOUR)
-        ids = [r.incident_id for r in result.records]
+        ids = [r.incident.id for r in result.records]
         assert len(ids) == len(set(ids))
         assert len(ids) + result.pending_at_end == len(incs)
 
@@ -95,7 +97,7 @@ class TestBaselineMode:
                                     n_samples=n_samples))
             state = fresh_state(line_world, [0, 1])
             result = coord.run(state, chain(*incs), horizon_ms=4 * MS_PER_HOUR)
-            return [(r.incident_id, r.agent_id, r.response_s)
+            return [(r.incident.id, r.agent_id, r.response_s)
                     for r in result.records]
 
         assert run_with(5, 1) == run_with(500, 20)
@@ -140,6 +142,39 @@ class TestFailures:
         assert len(result.records) == 1
         assert result.records[0].dispatch_ms == MS_PER_HOUR  # at recovery
         assert result.records[0].response_s == pytest.approx(50 * 60)
+
+
+class TestEventOrder:
+    """Ties at one millisecond are settled by event kind."""
+
+    def test_incident_before_failure_at_same_ms(self, line_world):
+        # the report is handled before the failure window opens, so the
+        # agent takes the incident instead of waiting out its window
+        coord = make_coord(line_world)
+        state = fresh_state(line_world, [0])
+        inc = incident(0, cell=5, report_ms=10 * MS_PER_MINUTE)
+        fail = FailureEvent(agent_id=0, start_ms=10 * MS_PER_MINUTE,
+                            duration_ms=MS_PER_HOUR)
+        result = coord.run(state, chain(inc), horizon_ms=4 * MS_PER_HOUR,
+                           failures=[fail])
+        [rec] = result.records
+        assert (rec.agent_id, rec.dispatch_ms) == (0, 10 * MS_PER_MINUTE)
+        assert rec.response_s == pytest.approx(600.0)  # five miles at 30 mph
+        agent = state.agent(0)  # served and back home: nothing outstanding
+        assert agent.status is AgentStatus.WAITING and agent.incident is None
+
+    def test_available_logged_before_report_at_same_ms(self, line_world):
+        trace = io.StringIO()
+        coord = make_coord(line_world, trace=trace)
+        state = fresh_state(line_world, [0])
+        first = incident(0, cell=0, report_ms=0, service_ms=20 * MS_PER_MINUTE)
+        second = incident(1, cell=0, report_ms=20 * MS_PER_MINUTE)
+        coord.run(state, chain(first, second), horizon_ms=MS_PER_HOUR)
+        at_free = [line for line in trace.getvalue().splitlines()
+                   if line.startswith("1200.000,")]
+        assert at_free == ["1200.000,agent_available,0,,",
+                           "1200.000,incident_occurrence,,1,reported",
+                           "1200.000,incident_occurrence,0,1,dispatched rt=0.000"]
 
 
 class TestRebalance:

@@ -3,7 +3,6 @@ import pytest
 
 from hierdispatch import (DemandModel, EmptyHistory, ServiceLaw, SpikeWindow,
                           fit_rates, region_rates_at, sample_chain)
-from hierdispatch.demand import read_chain, write_chain
 from hierdispatch.spatial import Depot, make_grid, partition_regions
 from hierdispatch.units import MS_PER_HOUR
 
@@ -154,16 +153,3 @@ class TestHistoryFile:
                         "0,2024-01-01T00:00:00,9,0\n")
         with pytest.raises(ValueError):
             load_history(path, width=5, height=2)
-
-
-class TestChainFiles:
-    def test_round_trip(self, tmp_path):
-        cells = make_grid(5, 2)
-        model = DemandModel(rates=np.full(10, 1.0))
-        chain = sample_chain(model, horizon_ms=20 * MS_PER_HOUR, seed=4)
-        path = tmp_path / "chain.csv"
-        write_chain(path, chain, cells)
-        back = read_chain(path, width=5, height=2, horizon_ms=chain.horizon_ms)
-        assert [i.cell for i in back.incidents] == [i.cell for i in chain.incidents]
-        assert [i.report_time_ms for i in back.incidents] == \
-               [i.report_time_ms for i in chain.incidents]

@@ -6,8 +6,8 @@ import pytest
 from hierdispatch import (AllocationAction, DemandModel, Incident,
                           IncidentChain, MCTSParams, SystemState,
                           enumerate_actions, joint_action_count, mcts_search,
-                          plan_region_allocations, rollout, ucb_score)
-from hierdispatch.lowlevel import (PASS, RegionState, SearchNode, _play,
+                          plan_region_allocations, rollout)
+from hierdispatch.lowlevel import (PASS, RegionState, SearchNode, _play, _Tree,
                                    apply_allocation, decompose)
 from hierdispatch.simulator import AgentStatus
 from hierdispatch.units import MS_PER_HOUR, MS_PER_MINUTE
@@ -30,28 +30,38 @@ def chain(*incidents, horizon_ms=2 * MS_PER_HOUR):
 
 
 class TestUCB:
-    def _node(self, visits, utility_sum=0.0, parent=None):
-        n = SearchNode(state=None, chain_pos=0, cost_from_root=0.0, parent=parent)
-        n.visits = visits
-        n.utility_sum = utility_sum
-        return n
+    """The in-tree selection, _Tree._select, on a hand-built root."""
 
-    def test_plugin_value(self):
-        # mean utility 0.5, c=1.44, ln(parent visits)=1, child visits 1
-        parent = self._node(visits=math.e)
-        child = self._node(visits=1, utility_sum=0.5)
-        assert ucb_score(child, parent, 1.44) == pytest.approx(0.5 + 1.44)
+    def _select(self, line_world, uct_c, children, cost_lo=0.0, cost_hi=10.0):
+        """The key _select picks among children, given as
+        key -> (visits, total cost); every child has been visited."""
+        tree = _Tree(region_state(line_world, [0]), chain(), line_world,
+                     MCTSParams(uct_c=uct_c))
+        tree.cost_lo, tree.cost_hi = cost_lo, cost_hi
+        root = tree.root
+        for key, (visits, cost) in children.items():
+            child = SearchNode(state=None, chain_pos=0, cost_from_root=0.0,
+                               parent=root, inbound=key)
+            child.visits = visits
+            child.utility_sum = -cost
+            root.children[key] = child
+            root.visits += visits
+        return tree._select(root).inbound
 
-    def test_unvisited_is_infinite(self):
-        parent = self._node(visits=3)
-        child = self._node(visits=0)
-        assert ucb_score(child, parent, 1.44) == math.inf
+    def test_c_zero_is_pure_exploitation(self, line_world):
+        # mean costs 5 and 2: the cheaper child wins despite more visits
+        assert self._select(line_world, 0.0,
+                            {"a": (2, 10.0), "b": (5, 10.0)}) == "b"
 
-    def test_c_zero_is_pure_exploitation(self):
-        parent = self._node(visits=10)
-        a = self._node(visits=2, utility_sum=-10.0)  # mean -5
-        b = self._node(visits=5, utility_sum=-10.0)  # mean -2
-        assert ucb_score(b, parent, 0.0) > ucb_score(a, parent, 0.0)
+    def test_equal_means_prefer_less_visited(self, line_world):
+        assert self._select(line_world, 1.44,
+                            {"a": (6, 18.0), "b": (2, 6.0)}) == "b"
+
+    def test_flat_cost_bounds_ignore_means(self, line_world):
+        # cost_hi == cost_lo: every exploit term is 0.5, so at c=0 all
+        # children tie and the first one is kept, although "b" is cheaper
+        assert self._select(line_world, 0.0, {"a": (2, 10.0), "b": (5, 5.0)},
+                            cost_lo=3.0, cost_hi=3.0) == "a"
 
 
 class TestEnumerateActions:

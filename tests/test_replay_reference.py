@@ -8,6 +8,8 @@ record and agent field must be equal with ==; no tolerance is allowed,
 because the search's scores and the incident files depend on each bit.
 """
 
+from dataclasses import fields
+
 import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,13 @@ def outcome(fn, *args):
     except Exception as exc:  # compared by type against the reference
         return type(exc)
     return None if isinstance(value, SystemState) else value
+
+
+def greedy_dispatch_as_dicts(state, world):
+    """greedy_dispatch_pending with its records in the reference's dict
+    form, one key per DispatchRecord field."""
+    return [{f.name: getattr(rec, f.name) for f in fields(rec)}
+            for rec in greedy_dispatch_pending(state, world)]
 
 
 def next_change_ms(state):
@@ -133,7 +142,7 @@ def test_replay_equals_reference_loop(case, ops, stop_after_incident, alpha, t0_
             new.pending.append(incidents[pos])
             ref.pending.append(incidents[pos])
             pos += 1
-            both(greedy_dispatch_pending, oracles.greedy_dispatch_pending, world)
+            both(greedy_dispatch_as_dicts, oracles.greedy_dispatch_pending, world)
         assert _next_dispatch_event(new) == oracles._next_dispatch_event(ref)
         assert new == ref  # clock, queue, and every field of every agent
     both(_play, oracles._play, incidents, pos, world, alpha, t0_ms, end_ms, False)

@@ -182,9 +182,9 @@ class TestGreedyQueue:
         state.pending.extend([first, second])
         recs = greedy_dispatch_pending(state, line_world)
         # FIFO: incident 0 first, nearest agent is 1 (depot at x=9.5)
-        assert [r["incident"].id for r in recs] == [0, 1]
-        assert recs[0]["agent_id"] == 1
-        assert recs[1]["agent_id"] == 0
+        assert [r.incident.id for r in recs] == [0, 1]
+        assert recs[0].agent_id == 1
+        assert recs[1].agent_id == 0
 
     def test_tie_broken_by_agent_id(self):
         world = build_world(depot_xy=((0, 0), (4, 0)))
@@ -192,7 +192,7 @@ class TestGreedyQueue:
         inc = incident(0, cell=2, report_ms=0)  # x=2.5: equidistant
         state.pending.append(inc)
         recs = greedy_dispatch_pending(state, world)
-        assert recs[0]["agent_id"] == 0
+        assert recs[0].agent_id == 0
 
     def test_stops_when_no_one_free(self, line_world):
         state = fresh_state(line_world, [0])
@@ -207,7 +207,7 @@ class TestGreedyQueue:
         inc = incident(0, cell=0, report_ms=0)  # at failed agent's feet
         state.pending.append(inc)
         recs = greedy_dispatch_pending(state, line_world)
-        assert recs[0]["agent_id"] == 1
+        assert recs[0].agent_id == 1
 
 
 class TestInvariants:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hierdispatch import (Depot, TravelModel, make_grid,
-                          partition_regions, travel_time)
+from hierdispatch import Depot, TravelModel, make_grid, partition_regions
 from hierdispatch.spatial import load_depots, resolve_depots
 
 from oracles import brute_force_two_partitions
@@ -19,7 +18,7 @@ class TestTravelModel:
 
     def test_one_mile(self):
         m = TravelModel(speed_mph=30.0)
-        assert travel_time((0, 0), (1, 0), m) == pytest.approx(120.0)
+        assert m.travel_time((0, 0), (1, 0)) == pytest.approx(120.0)
 
     def test_symmetry_and_triangle(self):
         m = TravelModel(speed_mph=17.0)
