@@ -151,9 +151,8 @@ def sample_chain(model: DemandModel, horizon_ms: int, seed,
     rng = np.random.default_rng(seed)
     end_ms = start_ms + horizon_ms
     raw: list[tuple[int, int]] = []  # (time_ms, cell)
-    for cell in range(len(model.rates)):
-        if model.rates[cell] <= 0:
-            continue
+    # cells with a positive rate (NaN kept, as `rate <= 0` is False), as ints
+    for cell in np.flatnonzero(~(model.rates <= 0)).tolist():
         for a, b, rate in _segments(model, cell, start_ms, end_ms):
             mean = rate * (b - a) / MS_PER_HOUR
             n = rng.poisson(mean)

@@ -379,10 +379,11 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
     transfers = 0
     pending = 0
     region_of = scenario.world.partition.cell_to_region
+    placement = initial_state(scenario)  # the same for every seed
     for seed in cfg.seeds:
         chain = chain_for_seed(scenario, seed)
         fingerprints[seed] = chain_fingerprint(chain)
-        state = initial_state(scenario)
+        state = placement.clone()
         trace_file = None
         if trace:
             trace_file = open(os.path.join(out_dir, f"trajectory_seed{seed}.log"), "w")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import getitem
 
 import numpy as np
 
@@ -96,6 +95,31 @@ def _free_slots(rs: RegionState, idle_ids: set[int]) -> dict[int, int]:
     return slots
 
 
+def _joint_choices(rs: RegionState, max_joint: int):
+    """The region's joint allocations as (agent ids, depot tuples): action
+    i is AllocationAction(tuple(zip(ids, depot_tuples[i]))).
+
+    None when the joint count would exceed max_joint; ((), [()]), which
+    is PASS, when there is nothing to decide.
+    """
+    idle = sorted(a.id for a in rs.state.idle_agents())
+    if not idle:
+        return (), [()]
+    slots = _free_slots(rs, set(idle))
+    free = sum(slots.values())
+    if free < len(idle):
+        return (), [()]  # no feasible reshuffle; leave assignments alone
+    bound = 1
+    for i in range(len(idle)):
+        bound *= free - i
+        if bound > max_joint:
+            return None
+    # k-permutations of the free slots come out in lexicographic order of
+    # depot ids; a depot with several free slots repeats a tuple, kept once
+    slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
+    return tuple(idle), list(dict.fromkeys(itertools.permutations(slot_list, len(idle))))
+
+
 def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
     """All feasible joint allocations for the region's idle agents.
 
@@ -103,25 +127,11 @@ def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
     exceed max_joint (callers then decompose the decision per agent).
     Returns [PASS] when there is nothing to decide.
     """
-    idle = sorted(rs.state.idle_agents(), key=lambda a: a.id)
-    if not idle:
-        return [PASS]
-    slots = _free_slots(rs, {a.id for a in idle})
-    free = sum(slots.values())
-    if free < len(idle):
-        return [PASS]  # no feasible reshuffle; leave assignments alone
-    bound = 1
-    for i in range(len(idle)):
-        bound *= free - i
-        if bound > max_joint:
-            return None
-    # k-permutations of the free slots come out in lexicographic order of
-    # depot ids; a depot with several free slots repeats a tuple, kept once.
-    # Every action shares one (agent_id, depot_id) pair object per choice.
-    pairs = [{d: (a.id, d) for d in slots} for a in idle]
-    slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
-    return [AllocationAction(tuple(map(getitem, pairs, depots)))
-            for depots in dict.fromkeys(itertools.permutations(slot_list, len(idle)))]
+    choices = _joint_choices(rs, max_joint)
+    if choices is None:
+        return None
+    ids, depot_tuples = choices
+    return [AllocationAction(tuple(zip(ids, depots))) for depots in depot_tuples]
 
 
 def apply_allocation(state: SystemState, assignment, world: World) -> None:
@@ -213,7 +223,7 @@ class SearchNode:
 
     __slots__ = ("state", "chain_pos", "cost_from_root", "visits", "utility_sum",
                  "children", "untried", "parent", "terminal", "to_assign",
-                 "partial", "inbound")
+                 "partial", "inbound", "idle_ids")
 
     def __init__(self, state, chain_pos, cost_from_root, parent=None,
                  terminal=False, to_assign=None, partial=(), inbound=None):
@@ -223,7 +233,10 @@ class SearchNode:
         self.visits = 0
         self.utility_sum = 0.0
         self.children: dict = {}
-        self.untried = None  # filled lazily on first expansion visit
+        # filled lazily on first expansion visit: depot tuples of the
+        # joint actions for idle_ids, or per-agent (agent, depot) pairs
+        self.untried = None
+        self.idle_ids = ()
         self.parent = parent
         self.terminal = terminal
         self.to_assign = to_assign  # set on per-agent decomposition levels
@@ -295,15 +308,15 @@ class _Tree:
             node.untried = [(node.to_assign[i], d)
                             for d in sorted(slots) if slots[d] > 0]
             return
-        actions = enumerate_actions(self._region_view(node.state),
-                                    self.params.max_joint_actions)
-        if actions is None:
+        choices = _joint_choices(self._region_view(node.state),
+                                 self.params.max_joint_actions)
+        if choices is None:
             self.decomposed = True
             idle = sorted(a.id for a in node.state.idle_agents())
             node.to_assign = tuple(idle)
             self._init_actions(node)
         else:
-            node.untried = actions
+            node.idle_ids, node.untried = choices
 
     def _make_epoch_child(self, node: SearchNode, key, assignment) -> SearchNode:
         state = node.state.clone()
@@ -319,6 +332,7 @@ class _Tree:
     def _expand(self, node: SearchNode) -> SearchNode:
         action = node.untried.pop(0)
         if node.to_assign is None:
+            action = AllocationAction(tuple(zip(node.idle_ids, action)))
             return self._make_epoch_child(node, action, action.assignment)
         partial = node.partial + (action,)
         if len(partial) == len(node.to_assign):
@@ -504,7 +518,9 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
         means = plan.score_map.means()
         if not means:
             continue
-        plan.action = min(means, key=lambda a: (means[a],
-                                                a.travel_distance(rs.state, world),
-                                                a.assignment))
+        # the (mean, travel, assignment) minimum; travel only for the tied
+        best = min(means.values())
+        plan.action = min((a for a in means if means[a] == best),
+                          key=lambda a: (a.travel_distance(rs.state, world),
+                                         a.assignment))
     return plans

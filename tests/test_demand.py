@@ -57,6 +57,15 @@ class TestSampleChain:
         assert len(set(times)) == len(times)
         assert [i.id for i in chain.incidents] == list(range(len(chain)))
 
+    def test_cells_are_ints_in_zero_rate_gaps(self):
+        # only the positive-rate cells are sampled; cell ids stay Python ints
+        rates = np.zeros(30)
+        rates[[3, 17, 29]] = 2.0
+        chain = sample_chain(DemandModel(rates=rates),
+                             horizon_ms=20 * MS_PER_HOUR, seed=4)
+        assert {i.cell for i in chain.incidents} == {3, 17, 29}
+        assert all(type(i.cell) is int for i in chain.incidents)
+
     def test_interarrival_exponential_mean(self):
         # one cell at 10/h over 10,000 h -> ~1e5 samples; mean gap ~ 6 min
         model = DemandModel(rates=np.array([10.0]))

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import os
 
@@ -201,6 +202,26 @@ class TestRunExperiment:
         report = run_experiment(cfg, tmp_path / "out")
         q1, q2, q3 = report.quartiles()
         assert q1 <= q2 <= q3
+
+    def test_golden_hierarchical_outputs(self, tmp_path):
+        # synthetic_nonstationary, hierarchical, seed 1 over 8 h: the first
+        # rate spike (6-10 h) makes two cross-region transfers. Digests
+        # recorded with numpy 2.4.6 (the chains follow numpy's Generator
+        # streams) on commit c25beaf, before the search built its actions
+        # lazily; a speed-up must leave both files byte-identical.
+        cfg = load_config(os.path.join(CONFIG_DIR, "synthetic_nonstationary.yaml"))
+        cfg.seeds, cfg.horizon_hours = [1], 8.0
+        cfg.validate()
+        report = run_experiment(cfg, tmp_path / "out", trace=True)
+        assert report.transfers == 2
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ("incidents_seed1.csv", "trajectory_seed1.log")}
+        assert digests == {
+            "incidents_seed1.csv":
+                "539f6c72ef5c4a9106fb3283ab1143c7f68a47fd3edf8264a28e305f563b6fa7",
+            "trajectory_seed1.log":
+                "f6ba2311a84d8c0060b490137acd8cc9adaa1fba8b8cdedfb339587f964d8901",
+        }
 
     def test_trace_log_schema(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=[1])

@@ -1,12 +1,14 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from hierdispatch import (AllocationAction, DemandModel, Incident,
                           IncidentChain, MCTSParams, SystemState,
                           enumerate_actions, joint_action_count, mcts_search,
                           plan_region_allocations, rollout)
+from hierdispatch import lowlevel
 from hierdispatch.lowlevel import (PASS, RegionState, SearchNode, _play, _Tree,
                                    apply_allocation, decompose)
 from hierdispatch.simulator import AgentStatus
@@ -108,10 +110,43 @@ class TestEnumerateActions:
         assert both_at_0 in actions
         assert len(actions) == 4
 
+    def test_reserved_slot_beside_shared_depot(self):
+        # busy agents 0 and 1 keep depot 0's two slots; depot 1's two
+        # slots give the idle agents 2 and 3 one action, "both at 1"
+        world = build_world(depot_xy=((0, 0), (9, 0)), capacity=2)
+        rs = region_state(world, [0, 0, 1, 1])
+        for agent in rs.state.agents[:2]:
+            agent.status = AgentStatus.SERVICING
+            agent.busy_until = 10 ** 9
+        assert enumerate_actions(rs) == [AllocationAction(((2, 1), (3, 1)))]
+
     def test_over_limit_returns_none(self):
         world = build_world(depot_xy=tuple((x, 0) for x in range(8)), width=10)
         rs = region_state(world, list(range(6)))
         assert enumerate_actions(rs, max_joint=100) is None
+
+
+class TestApplyAllocation:
+    """apply_allocation on inputs no planner produces; the reference
+    Hypothesis test covers the rest."""
+
+    def test_agent_named_twice_frees_its_first_depot(self):
+        world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
+        for assignment, depots in ((((0, 1), (0, 2), (1, 1)), [2, 1]),
+                                   (((0, 1), (0, 1)), [1, 2])):
+            state = fresh_state(world, [0, 2])
+            ref = state.clone()
+            apply_allocation(state, assignment, world)
+            oracles.apply_allocation(ref, assignment, world)
+            assert state == ref
+            assert [a.depot for a in state.agents] == depots
+
+    def test_unknown_agent_raises_after_freeing_every_known_one(self):
+        world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
+        state = fresh_state(world, [0, 1])
+        with pytest.raises(KeyError):
+            apply_allocation(state, ((0, 2), (7, 0), (1, 0)), world)
+        assert [a.depot for a in state.agents] == [2, -1]
 
 
 class TestRollout:
@@ -216,6 +251,21 @@ class TestMCTSSearch:
             return total_endpoints
 
         assert check(res.root) == 500
+
+    def test_root_expands_actions_in_enumeration_order(self):
+        # 2 idle agents, 5 unit depots: 20 root actions
+        world = build_world(depot_xy=tuple((x, 0) for x in (0, 2, 4, 6, 9)))
+        rs = region_state(world, [0, 3])
+        c = chain(incident(0, 5, 10 * MS_PER_MINUTE),
+                  incident(1, 1, 50 * MS_PER_MINUTE))
+        actions = enumerate_actions(rs)
+        assert len(actions) == 20
+        res = mcts_search(rs, c, world, MCTSParams(iterations=7))
+        assert list(res.root.children) == actions[:7]
+        assert len(res.root.children) + len(res.root.untried) == len(actions)
+        res = mcts_search(rs, c, world, MCTSParams(iterations=60))
+        assert list(res.root.children) == actions
+        assert not res.root.untried
 
     def test_deterministic(self):
         world, rs, c = bandit_world()
@@ -351,6 +401,30 @@ class TestPlanRegionAllocations:
                                         n_samples=1, seed=3)
         for scores in plans[0].score_map.scores.values():
             assert len(scores) == 1
+
+    def test_ties_go_to_less_travel_then_smaller_assignment(self, monkeypatch):
+        # depots at cells 0, 4 and 8; the agent waits at depot 1 (cell 4),
+        # so moving to depot 0 or 2 is 4 miles and staying is 0
+        world = build_world(depot_xy=((0, 0), (4, 0), (8, 0)))
+        to_0, stay, to_2 = (AllocationAction(((0, d),)) for d in range(3))
+        model = DemandModel(rates=np.full(10, 0.5))
+
+        def plan(scores):
+            def fake_search(*_args, **_kwargs):
+                return lowlevel.MCTSResult(scores=dict(scores), root=None,
+                                           iterations=1)
+            monkeypatch.setattr(lowlevel, "mcts_search", fake_search)
+            state = fresh_state(world, [1])
+            return plan_region_allocations(state, world, model,
+                                           MCTSParams(iterations=1),
+                                           n_samples=2, seed=0)[0].action
+
+        # lowest mean wins whatever the travel
+        assert plan({stay: 3.0, to_0: 2.0, to_2: 5.0}) == to_0
+        # equal means: less travel wins over the smaller assignment
+        assert plan({to_0: 3.0, stay: 3.0, to_2: 5.0}) == stay
+        # equal means and travel: the smaller assignment wins
+        assert plan({to_2: 3.0, to_0: 3.0, stay: 4.0}) == to_0
 
     def test_score_map_mean_is_arithmetic(self):
         from hierdispatch import ActionScoreMap
