@@ -151,9 +151,14 @@ def sample_chain(model: DemandModel, horizon_ms: int, seed,
     rng = np.random.default_rng(seed)
     end_ms = start_ms + horizon_ms
     raw: list[tuple[int, int]] = []  # (time_ms, cell)
-    # cells with a positive rate (NaN kept, as `rate <= 0` is False), as ints
+    rates = model.rates.tolist()
+    spiked = set().union(*(w.cells for w in model.spikes))
+    # cells with a positive rate (NaN kept, as `rate <= 0` is False), as ints;
+    # a cell outside every spike window is one constant-rate segment
     for cell in np.flatnonzero(~(model.rates <= 0)).tolist():
-        for a, b, rate in _segments(model, cell, start_ms, end_ms):
+        segments = (_segments(model, cell, start_ms, end_ms) if cell in spiked
+                    else ((start_ms, end_ms, rates[cell]),))
+        for a, b, rate in segments:
             mean = rate * (b - a) / MS_PER_HOUR
             n = rng.poisson(mean)
             if n == 0:

@@ -108,8 +108,11 @@ class ScenarioConfig:
         if self.test_bed == "failures":
             need(bool(self.failures) or self.failure_file, "failures",
                  "failures test bed requires a failure list or failure_file")
+        for i, spike in enumerate(self.spikes):
+            _check_spike(self, f"spikes[{i}]", spike)
         need(self.mcts_iterations >= 1, "mcts_iterations", "must be >= 1")
         need(self.n_samples >= 1, "n_samples", "must be >= 1")
+        need(self.max_joint_actions >= 1, "max_joint_actions", "must be >= 1")
         need(0 < self.discount <= 1, "discount", "must be in (0, 1]")
         need(self.replan_minutes > 0, "replan_minutes", "must be positive")
         need(self.speed_mph > 0, "speed_mph", "must be positive")
@@ -119,6 +122,31 @@ class ScenarioConfig:
     @property
     def eta_per_hour(self) -> float:
         return 60.0 / self.service_minutes
+
+
+def _check_spike(cfg: ScenarioConfig, name: str, s) -> None:
+    """ConfigError naming the spike unless it has its keys, start < end,
+    multiplier >= 1, and a region or cells that exist."""
+    try:
+        start = hours_to_ms(float(s["start_hour"]))
+        end = hours_to_ms(float(s["end_hour"]))
+        mult = float(s["multiplier"])
+        region = int(s["region"]) if "region" in s else None
+        cells = ([] if region is not None
+                 else [(int(gx), int(gy)) for gx, gy in s["cells"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: needs start_hour, end_hour, multiplier "
+                          "and 'region' or 'cells'") from exc
+    if start >= end:
+        raise ConfigError(f"{name}: start_hour must be before end_hour")
+    if not mult >= 1:
+        raise ConfigError(f"{name}: multiplier must be >= 1")
+    if region is not None and region not in range(cfg.num_regions):
+        raise ConfigError(f"{name}: region {region} is not in "
+                          f"range(num_regions={cfg.num_regions})")
+    for gx, gy in cells:
+        if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
+            raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -178,24 +206,18 @@ def _build_rates(cfg: ScenarioConfig, num_cells: int, width: int) -> np.ndarray:
 
 def _build_spikes(cfg: ScenarioConfig, partition: RegionPartition,
                   width: int) -> list[SpikeWindow]:
+    """The spike windows of a validated config."""
     spikes = []
-    for i, s in enumerate(cfg.spikes):
-        try:
-            start = hours_to_ms(float(s["start_hour"]))
-            end = hours_to_ms(float(s["end_hour"]))
-            mult = float(s["multiplier"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(
-                f"spikes[{i}]: needs start_hour, end_hour, multiplier") from exc
+    for s in cfg.spikes:
         if "region" in s:
             cells = frozenset(c for c, r in partition.cell_to_region.items()
                               if r == int(s["region"]))
-        elif "cells" in s:
-            cells = frozenset(int(gy) * width + int(gx) for gx, gy in s["cells"])
         else:
-            raise ConfigError(f"spikes[{i}]: needs 'region' or 'cells'")
-        spikes.append(SpikeWindow(cells=cells, start_ms=start, end_ms=end,
-                                  multiplier=mult))
+            cells = frozenset(int(gy) * width + int(gx) for gx, gy in s["cells"])
+        spikes.append(SpikeWindow(cells=cells,
+                                  start_ms=hours_to_ms(float(s["start_hour"])),
+                                  end_ms=hours_to_ms(float(s["end_hour"])),
+                                  multiplier=float(s["multiplier"])))
     return spikes
 
 

@@ -223,7 +223,7 @@ class SearchNode:
 
     __slots__ = ("state", "chain_pos", "cost_from_root", "visits", "utility_sum",
                  "children", "untried", "parent", "terminal", "to_assign",
-                 "partial", "inbound", "idle_ids")
+                 "partial", "inbound", "idle_ids", "tail")
 
     def __init__(self, state, chain_pos, cost_from_root, parent=None,
                  terminal=False, to_assign=None, partial=(), inbound=None):
@@ -242,6 +242,7 @@ class SearchNode:
         self.to_assign = to_assign  # set on per-agent decomposition levels
         self.partial = partial
         self.inbound = inbound  # action key on the edge from the parent
+        self.tail = None  # playout cost of a terminal epoch node, once known
 
     @property
     def mean_cost(self) -> float:
@@ -278,19 +279,25 @@ class ActionScoreMap:
         return {a: sum(v) / len(v) for a, v in self.scores.items()}
 
 
+def _in_window(chain: IncidentChain, t0_ms: int, horizon_ms: int) -> list[Incident]:
+    """The chain's incidents reported in [t0, t0 + horizon)."""
+    end_ms = t0_ms + horizon_ms
+    return [i for i in chain.incidents if t0_ms <= i.report_time_ms < end_ms]
+
+
 class _Tree:
     def __init__(self, rs: RegionState, chain: IncidentChain, world: World,
-                 params: MCTSParams):
+                 params: MCTSParams, root_choices=...):
         self.world = world
         self.params = params
         self.t0 = rs.state.clock_ms
         self.end_ms = self.t0 + params.horizon_ms
         self.region = rs.region
         self.depots = rs.depots
-        self.incidents = [i for i in chain.incidents
-                          if self.t0 <= i.report_time_ms < self.end_ms]
+        self.incidents = _in_window(chain, self.t0, params.horizon_ms)
         self.root = SearchNode(rs.state.clone(), 0, 0.0,
                                terminal=not self.incidents)
+        self.root_choices = root_choices  # ...: work them out on first visit
         self.cost_lo = math.inf
         self.cost_hi = -math.inf
         self.decomposed = False
@@ -308,8 +315,13 @@ class _Tree:
             node.untried = [(node.to_assign[i], d)
                             for d in sorted(slots) if slots[d] > 0]
             return
-        choices = _joint_choices(self._region_view(node.state),
-                                 self.params.max_joint_actions)
+        if node is self.root and self.root_choices is not ...:
+            choices = self.root_choices
+            if choices is not None:  # _expand pops; sibling trees share it
+                choices = choices[0], list(choices[1])
+        else:
+            choices = _joint_choices(self._region_view(node.state),
+                                     self.params.max_joint_actions)
         if choices is None:
             self.decomposed = True
             idle = sorted(a.id for a in node.state.idle_agents())
@@ -379,7 +391,20 @@ class _Tree:
         return tuple(pairs)
 
     def _evaluate(self, node: SearchNode) -> float:
-        """Total trajectory cost from the root through this node's playout."""
+        """Total trajectory cost from the root through this node's playout.
+
+        A terminal epoch node's state never changes, so its playout runs
+        once; with nothing pending it costs 0.0, which is what _play gives.
+        """
+        if node.terminal and node.to_assign is None:
+            if node.tail is None:
+                node.tail = 0.0
+                if node.state.pending:
+                    node.tail = _play(node.state.clone(), self.incidents,
+                                      node.chain_pos, self.world,
+                                      self.params.discount, self.t0, self.end_ms,
+                                      stop_after_incident=False)[0]
+            return node.cost_from_root + node.tail
         state = node.state.clone()
         if node.to_assign is not None:
             apply_allocation(state, self._complete_partial(node), self.world)
@@ -439,19 +464,21 @@ class _Tree:
 
 
 def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
-                params: MCTSParams, trace=None) -> MCTSResult:
+                params: MCTSParams, trace=None, root_choices=...) -> MCTSResult:
     """Score the region's root allocation actions against one chain.
 
     The environment is deterministic given the chain, so the search
     itself is deterministic. Regions with no idle agents need no decision
-    and yield an empty score map.
+    and yield an empty score map. root_choices, when given, is
+    _joint_choices(rs, params.max_joint_actions), shared by the region's
+    trees; otherwise the tree works it out itself.
     """
     if params.iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not rs.state.idle_agents():
         return MCTSResult(scores={}, root=SearchNode(rs.state.clone(), 0, 0.0),
                           iterations=0)
-    tree = _Tree(rs, chain, world, params)
+    tree = _Tree(rs, chain, world, params, root_choices)
     if tree.root.terminal:
         # empty chain: every allocation scores alike, nothing to search
         return MCTSResult(scores={}, root=tree.root, iterations=0)
@@ -486,6 +513,12 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     reproducible. Ties on mean score prefer the action with the least
     added travel, then the lexicographically smallest assignment. Regions
     with no idle agents get action None.
+
+    A region with a single feasible action, which no deeper search node
+    could turn into a decomposed search, gets it without a search (and
+    writes no per-chain search trace): its chains are sampled only until
+    one has an incident inside the horizon; if none has, the action is
+    None, as every tree would have had a terminal root.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -498,18 +531,35 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
         plans[region] = plan
         if not rs.state.idle_agents():
             continue
+        if params.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        choices = _joint_choices(rs, params.max_joint_actions)
+        # a tree reports PASS when any of its nodes decomposes (see
+        # mcts_search), so a lone action other than PASS is known only
+        # when no node can: perm(slots, agents) bounds every node's count
+        slots = sum(d.capacity for d in rs.depots)
+        single = choices is not None and len(choices[1]) == 1 and (
+            not choices[0] or math.perm(slots, min(slots, len(rs.state.agents)))
+            <= params.max_joint_actions)
         restricted = model.restrict(world.partition.cells_of(region))
         for i in range(n_samples):
             chain_seed = np.random.SeedSequence(entropy=seed,
                                                 spawn_key=(region, i))
             chain = sample_chain(restricted, params.horizon_ms, chain_seed,
                                  start_ms=state.clock_ms)
+            if single:
+                if _in_window(chain, state.clock_ms, params.horizon_ms):
+                    ids, (depots,) = choices
+                    plan.action = AllocationAction(tuple(zip(ids, depots)))
+                    break
+                continue
             trace = None
             if trace_dir is not None:
                 trace = open(f"{trace_dir}/search_region{region}_chain{i}.csv", "w")
                 trace.write("iteration,action,score\n")
             try:
-                result = mcts_search(rs, chain, world, params, trace=trace)
+                result = mcts_search(rs, chain, world, params, trace=trace,
+                                     root_choices=choices)
             finally:
                 if trace is not None:
                     trace.close()

@@ -12,10 +12,13 @@ import heapq
 
 import numpy as np
 
-from hierdispatch.lowlevel import PASS, AllocationAction, _free_slots
+from hierdispatch.demand import Incident, IncidentChain, _segments
+from hierdispatch.lowlevel import (PASS, AllocationAction, RegionPlan,
+                                   _free_slots, decompose, mcts_search,
+                                   sample_chain)
 from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
                                     UnknownIncident)
-from hierdispatch.units import ceil_ms
+from hierdispatch.units import MS_PER_HOUR, ceil_ms
 
 
 def simulate_mmc_mean_wait(lam, mu, c, n_arrivals, seed, warmup=50_000):
@@ -317,3 +320,118 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
             cost += alpha ** t_h * rec["response_s"]
         if injected and stop_after_incident:
             return cost, pos, pos >= len(incidents)
+
+
+# -- reference planner loop ----------------------------------------------
+# The planner before it shared one root action set per region, skipped the
+# search of single-action regions and scored terminal leaves once, kept
+# verbatim: plan_region_allocations always searches, and tree_evaluate
+# (the old _Tree._evaluate) replays every leaf from a fresh clone, through
+# the reference _play and apply_allocation above. The property test in test_plan_reference.py patches tree_evaluate into
+# _Tree and checks the package's plans and scores against these with ==.
+
+def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
+                            params: MCTSParams, n_samples: int, seed,
+                            regions=None, trace_dir=None) -> dict[int, RegionPlan]:
+    """Root-parallel planning for every region: sample n chains per region,
+    run one search tree per chain, average the per-action scores, and pick
+    the cheapest action.
+
+    Chains are region-restricted: demand comes only from the region's own
+    cells. seed is an int or tuple of ints (SeedSequence entropy); the
+    per-chain streams are derived from it, so the whole plan is
+    reproducible. Ties on mean score prefer the action with the least
+    added travel, then the lexicographically smallest assignment. Regions
+    with no idle agents get action None.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if regions is None:
+        regions = world.partition.regions()
+    plans: dict[int, RegionPlan] = {}
+    for region in sorted(regions):
+        rs = decompose(state, region, world)
+        plan = RegionPlan(region=region, action=None)
+        plans[region] = plan
+        if not rs.state.idle_agents():
+            continue
+        restricted = model.restrict(world.partition.cells_of(region))
+        for i in range(n_samples):
+            chain_seed = np.random.SeedSequence(entropy=seed,
+                                                spawn_key=(region, i))
+            chain = sample_chain(restricted, params.horizon_ms, chain_seed,
+                                 start_ms=state.clock_ms)
+            trace = None
+            if trace_dir is not None:
+                trace = open(f"{trace_dir}/search_region{region}_chain{i}.csv", "w")
+                trace.write("iteration,action,score\n")
+            try:
+                result = mcts_search(rs, chain, world, params, trace=trace)
+            finally:
+                if trace is not None:
+                    trace.close()
+            for action, score in result.scores.items():
+                plan.score_map.add(action, score)
+        means = plan.score_map.means()
+        if not means:
+            continue
+        # the (mean, travel, assignment) minimum; travel only for the tied
+        best = min(means.values())
+        plan.action = min((a for a in means if means[a] == best),
+                          key=lambda a: (a.travel_distance(rs.state, world),
+                                         a.assignment))
+    return plans
+
+
+def tree_evaluate(self, node: SearchNode) -> float:
+    """Total trajectory cost from the root through this node's playout."""
+    state = node.state.clone()
+    if node.to_assign is not None:
+        apply_allocation(state, self._complete_partial(node), self.world)
+    tail, _pos, _done = _play(state, self.incidents, node.chain_pos, self.world,
+                              self.params.discount, self.t0, self.end_ms,
+                              stop_after_incident=False)
+    return node.cost_from_root + tail
+
+
+# -- reference chain sampler ---------------------------------------------
+# demand.sample_chain before cells outside every spike window skipped
+# _segments, kept verbatim: every positive-rate cell goes through
+# _segments and rate_at. test_demand.py checks the package's chains
+# against it with ==.
+
+def sample_chain_by_segments(model: DemandModel, horizon_ms: int, seed,
+                             start_ms: int = 0) -> IncidentChain:
+    """Sample one incident chain over [start_ms, start_ms + horizon_ms).
+
+    Each cell is an independent (piecewise-constant) Poisson process:
+    per segment the event count is Poisson(rate * duration) and the event
+    times are uniform. Identical (model, horizon, seed) inputs reproduce
+    the chain exactly. Coincident timestamps are pushed apart by 1 ms,
+    preserving generation order.
+    """
+    if horizon_ms <= 0:
+        raise ValueError("horizon must be positive")
+    rng = np.random.default_rng(seed)
+    end_ms = start_ms + horizon_ms
+    raw: list[tuple[int, int]] = []  # (time_ms, cell)
+    # cells with a positive rate (NaN kept, as `rate <= 0` is False), as ints
+    for cell in np.flatnonzero(~(model.rates <= 0)).tolist():
+        for a, b, rate in _segments(model, cell, start_ms, end_ms):
+            mean = rate * (b - a) / MS_PER_HOUR
+            n = rng.poisson(mean)
+            if n == 0:
+                continue
+            times = np.sort(rng.integers(a, b, size=n))
+            raw.extend((int(t), cell) for t in times)
+
+    raw.sort(key=lambda tc: tc[0])
+    incidents = []
+    prev = -1
+    for i, (t, cell) in enumerate(raw):
+        if t <= prev:
+            t = prev + 1
+        prev = t
+        incidents.append(Incident(id=i, cell=cell, report_time_ms=t,
+                                  service_duration_ms=model.service.sample(rng)))
+    return IncidentChain(incidents=incidents, horizon_ms=horizon_ms)

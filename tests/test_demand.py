@@ -1,5 +1,8 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierdispatch import (DemandModel, EmptyHistory, ServiceLaw, SpikeWindow,
                           fit_rates, region_rates_at, sample_chain)
@@ -85,6 +88,32 @@ class TestSampleChain:
         chain = sample_chain(expo, horizon_ms=3000 * MS_PER_HOUR, seed=2)
         durations = np.array([i.service_duration_ms for i in chain.incidents])
         assert np.mean(durations) == pytest.approx(600_000, rel=0.05)
+
+
+@st.composite
+def spiked_models(draw):
+    """A model over 1-40 cells with zero-rate cells and 0-3 spike windows."""
+    n = draw(st.integers(1, 40))
+    rates = [draw(st.sampled_from([0.0, 0.0, 0.01, 0.3, 1.0, 4.0])) for _ in range(n)]
+    spikes = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, 10 * MS_PER_HOUR))
+        spikes.append(SpikeWindow(
+            cells=frozenset(draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))),
+            start_ms=start, end_ms=start + draw(st.integers(1, 5 * MS_PER_HOUR)),
+            multiplier=draw(st.sampled_from([1.0, 2.0, 4.0]))))
+    law = ServiceLaw(draw(st.sampled_from(["fixed", "exponential"])))
+    return DemandModel(rates=np.array(rates), spikes=spikes, service=law)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=spiked_models(), horizon_ms=st.integers(1, 12 * MS_PER_HOUR),
+       start_ms=st.integers(0, 6 * MS_PER_HOUR), seed=st.integers(0, 10 ** 6))
+def test_chain_equals_per_segment_reference(model, horizon_ms, start_ms, seed):
+    # cells outside every spike window skip _segments; the draws must not move
+    chain = sample_chain(model, horizon_ms, seed, start_ms=start_ms)
+    assert chain == oracles.sample_chain_by_segments(model, horizon_ms, seed,
+                                                     start_ms=start_ms)
 
 
 class TestSpikes:

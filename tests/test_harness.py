@@ -10,7 +10,7 @@ from hierdispatch import ChainMismatch, compare, load_config, run_experiment
 from hierdispatch.harness import (ConfigError, ScenarioConfig, build_scenario,
                                   chain_for_seed, initial_state,
                                   load_failure_schedule)
-from hierdispatch import cli
+from hierdispatch import cli, lowlevel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -64,6 +64,57 @@ class TestConfig:
         cfg.test_bed = "nonstationary"
         with pytest.raises(ConfigError, match="spikes"):
             cfg.validate()
+
+    def test_spike_cell_outside_grid_named(self, tmp_path):
+        # gx 7 on a 6-wide grid would wrap to cell (1, 1)
+        spike = dict(cells=[[7, 0]], start_hour=1.0, end_hour=2.0, multiplier=2.0)
+        with pytest.raises(ConfigError, match=r"spikes\[0\]: cell \(7,0\) outside grid"):
+            tiny_config(tmp_path, spikes=[spike])
+
+    def test_spike_region_out_of_range_named(self, tmp_path):
+        ok = dict(region=1, start_hour=1.0, end_hour=2.0, multiplier=2.0)
+        bad = dict(ok, region=7)
+        with pytest.raises(ConfigError, match=r"spikes\[1\]: region 7"):
+            tiny_config(tmp_path, spikes=[ok, bad])
+        with pytest.raises(ConfigError, match=r"spikes\[0\]: region -1"):
+            tiny_config(tmp_path, spikes=[dict(ok, region=-1)])
+
+    def test_spike_start_not_before_end_named(self, tmp_path):
+        spike = dict(region=0, start_hour=3.0, end_hour=3.0, multiplier=2.0)
+        with pytest.raises(ConfigError, match=r"spikes\[0\]: start_hour"):
+            tiny_config(tmp_path, spikes=[spike])
+        with pytest.raises(ConfigError, match=r"spikes\[0\]: start_hour"):
+            tiny_config(tmp_path, spikes=[dict(spike, end_hour=2.0)])
+
+    def test_spike_multiplier_below_one_named(self, tmp_path):
+        spike = dict(region=0, start_hour=1.0, end_hour=2.0, multiplier=0.5)
+        with pytest.raises(ConfigError, match=r"spikes\[0\]: multiplier"):
+            tiny_config(tmp_path, spikes=[spike])
+
+    def test_spike_missing_keys_named(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"spikes\[0\]: needs"):
+            tiny_config(tmp_path, spikes=[dict(region=0, start_hour=1.0)])
+        with pytest.raises(ConfigError, match=r"spikes\[0\]: needs"):
+            tiny_config(tmp_path, spikes=[dict(start_hour=1.0, end_hour=2.0,
+                                               multiplier=2.0)])
+
+    def test_max_joint_actions_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="max_joint_actions"):
+            tiny_config(tmp_path, max_joint_actions=0)
+
+    def test_valid_spikes_build_as_before(self, tmp_path):
+        cfg = tiny_config(tmp_path, max_joint_actions=1, spikes=[
+            dict(cells=[[1, 1], [5, 5]], start_hour=1.0, end_hour=2.5, multiplier=1.0),
+            dict(region=1, start_hour=0.5, end_hour=1.0, multiplier=4.0)])
+        scenario = build_scenario(cfg)
+        spikes = scenario.model.spikes
+        assert spikes[0].cells == {7, 35}
+        assert (spikes[0].start_ms, spikes[0].end_ms) == (3_600_000, 9_000_000)
+        assert spikes[1].cells == set(scenario.world.partition.cells_of(1))
+        assert spikes[1].multiplier == 4.0
+        for name in sorted(os.listdir(CONFIG_DIR)):
+            if name.endswith(".yaml"):
+                load_config(os.path.join(CONFIG_DIR, name))
 
     def test_agents_capped_by_depot_capacity(self, tmp_path):
         cfg = tiny_config(tmp_path, num_agents=5)
@@ -221,6 +272,36 @@ class TestRunExperiment:
                 "539f6c72ef5c4a9106fb3283ab1143c7f68a47fd3edf8264a28e305f563b6fa7",
             "trajectory_seed1.log":
                 "f6ba2311a84d8c0060b490137acd8cc9adaa1fba8b8cdedfb339587f964d8901",
+        }
+
+    def test_golden_decomposed_outputs(self, tmp_path, monkeypatch):
+        # metro30_preset, hierarchical, seed 1 over 4 h at 128 iterations
+        # and 2 chains: region 4 (14 depots, 6 agents) exceeds
+        # max_joint_actions, so its trees take the per-agent search.
+        # Digests recorded with numpy 2.4.6 on commit 3c02954, before
+        # single-action regions skipped their search and terminal leaves
+        # were scored once; a speed-up must leave both files byte-identical.
+        decomposed = []
+        search = lowlevel.mcts_search
+
+        def counted(*args, **kwargs):
+            result = search(*args, **kwargs)
+            decomposed.append(result.decomposed)
+            return result
+        monkeypatch.setattr(lowlevel, "mcts_search", counted)
+        cfg = load_config(os.path.join(CONFIG_DIR, "metro30_preset.yaml"))
+        cfg.seeds, cfg.horizon_hours = [1], 4.0
+        cfg.mcts_iterations, cfg.n_samples = 128, 2
+        cfg.validate()
+        run_experiment(cfg, tmp_path / "out", trace=True)
+        assert any(decomposed)
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ("incidents_seed1.csv", "trajectory_seed1.log")}
+        assert digests == {
+            "incidents_seed1.csv":
+                "2bc5d2ede1a2aadd21b59f179a365f0ef7cffe14c49309d08c3d79a4b7744058",
+            "trajectory_seed1.log":
+                "7395f714d6d6a6e7a13eca14d34506f9739c1fd58849599d713d52499f37d925",
         }
 
     def test_trace_log_schema(self, tmp_path):
