@@ -79,7 +79,6 @@ class PlannerConfig:
     n_samples: int = 50
     replan_interval_ms: int = 60 * MS_PER_MINUTE
     eta_per_hour: float = 3.0
-    instability_threshold: float = 1.0
 
 
 @dataclass
@@ -97,7 +96,6 @@ class RunResult:
     planner_seconds: list[float]
     transfers: list[Transfer]
     pending_at_end: int
-    events_processed: int
 
 
 def apply_region_rebalance(state: SystemState, old_x: dict, new_x: dict,
@@ -192,12 +190,11 @@ class Coordinator:
         rates = region_rates_at(self.model, self.world.partition, state.clock_ms)
         counts = self._available_counts(state)
         eta = self.planner.eta_per_hour
-        thr = self.planner.instability_threshold
         for r, rate in rates.items():
             if rate <= 0:
                 continue
             x = counts[r]
-            if x == 0 or rate / (eta * x) >= thr:
+            if x == 0 or rate / (eta * x) >= 1:
                 return True
         return False
 
@@ -260,7 +257,7 @@ class Coordinator:
         event, once the coordinator has finished acting on it.
         """
         result = RunResult(records=[], planner_seconds=[], transfers=[],
-                           pending_at_end=0, events_processed=0)
+                           pending_at_end=0)
         self._seq = iter(range(10 ** 12))
         heap: list = []
         for inc in chain.incidents:
@@ -316,7 +313,6 @@ class Coordinator:
 
             if planned:
                 last_plan_ms = time_ms
-            result.events_processed += 1
             if observer is not None:
                 observer(self, state, kind)
 

@@ -104,8 +104,7 @@ class DemandModel:
         return DemandModel(rates=rates, spikes=spikes, service=self.service)
 
 
-def fit_rates(history, horizon_hours: float, num_cells: int,
-              spikes=(), service: ServiceLaw = ServiceLaw()) -> DemandModel:
+def fit_rates(history, horizon_hours: float, num_cells: int) -> DemandModel:
     """Empirical-mean Poisson fit: rate = count(cell) / horizon_hours.
 
     history: iterable of (cell_id, timestamp) pairs; timestamps are only
@@ -120,7 +119,7 @@ def fit_rates(history, horizon_hours: float, num_cells: int,
         n += 1
     if n == 0:
         raise EmptyHistory("no incident records; supply rates directly")
-    return DemandModel(rates=counts / horizon_hours, spikes=list(spikes), service=service)
+    return DemandModel(rates=counts / horizon_hours)
 
 
 def _segments(model: DemandModel, cell: int, start_ms: int, end_ms: int):

@@ -110,6 +110,10 @@ class ScenarioConfig:
                  "failures test bed requires a failure list or failure_file")
         for i, spike in enumerate(self.spikes):
             _check_spike(self, f"spikes[{i}]", spike)
+        for i, hotspot in enumerate(self.hotspots):
+            _check_hotspot(self, f"hotspots[{i}]", hotspot)
+        for i, failure in enumerate(self.failures):
+            _check_failure(f"failures[{i}]", failure)
         need(self.mcts_iterations >= 1, "mcts_iterations", "must be >= 1")
         need(self.n_samples >= 1, "n_samples", "must be >= 1")
         need(self.max_joint_actions >= 1, "max_joint_actions", "must be >= 1")
@@ -147,6 +151,33 @@ def _check_spike(cfg: ScenarioConfig, name: str, s) -> None:
     for gx, gy in cells:
         if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
             raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
+
+
+def _check_hotspot(cfg: ScenarioConfig, name: str, h) -> None:
+    """ConfigError naming the hotspot unless it has gx, gy inside the grid
+    and a numeric rate_per_hour >= 0."""
+    try:
+        gx, gy, rate = int(h["gx"]), int(h["gy"]), float(h["rate_per_hour"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: needs gx, gy, rate_per_hour") from exc
+    if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
+        raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
+    if not rate >= 0:
+        raise ConfigError(f"{name}: rate_per_hour must be >= 0")
+
+
+def _check_failure(name: str, f) -> None:
+    """ConfigError naming the failure unless it has agent_id, a numeric
+    start_hour, and a duration_hours of at least one millisecond."""
+    try:
+        int(f["agent_id"])
+        hours_to_ms(float(f["start_hour"]))
+        duration_ms = hours_to_ms(float(f.get("duration_hours", 8.0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: needs agent_id, numeric start_hour "
+                          "and duration_hours") from exc
+    if duration_ms <= 0:
+        raise ConfigError(f"{name}: duration_hours must be positive")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -193,14 +224,8 @@ def _build_rates(cfg: ScenarioConfig, num_cells: int, width: int) -> np.ndarray:
                                cfg.grid_height)
         return fit_rates(history, horizon, num_cells).rates
     rates = np.full(num_cells, float(cfg.base_rate_per_hour))
-    for i, h in enumerate(cfg.hotspots):
-        try:
-            gx, gy, rate = int(h["gx"]), int(h["gy"]), float(h["rate_per_hour"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"hotspots[{i}]: needs gx, gy, rate_per_hour") from exc
-        if not (0 <= gx < width and 0 <= gy < cfg.grid_height):
-            raise ConfigError(f"hotspots[{i}]: cell ({gx},{gy}) outside grid")
-        rates[gy * width + gx] = rate
+    for h in cfg.hotspots:  # validated
+        rates[int(h["gy"]) * width + int(h["gx"])] = float(h["rate_per_hour"])
     return rates
 
 
@@ -222,15 +247,11 @@ def _build_spikes(cfg: ScenarioConfig, partition: RegionPartition,
 
 
 def _build_failures(cfg: ScenarioConfig) -> list[FailureEvent]:
-    failures = []
-    for i, f in enumerate(cfg.failures):
-        try:
-            failures.append(FailureEvent(
-                agent_id=int(f["agent_id"]),
-                start_ms=hours_to_ms(float(f["start_hour"])),
-                duration_ms=hours_to_ms(float(f.get("duration_hours", 8.0)))))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"failures[{i}]: needs agent_id, start_hour") from exc
+    """The failure events of a validated config and of its failure file."""
+    failures = [FailureEvent(agent_id=int(f["agent_id"]),
+                             start_ms=hours_to_ms(float(f["start_hour"])),
+                             duration_ms=hours_to_ms(float(f.get("duration_hours", 8.0))))
+                for f in cfg.failures]
     if cfg.failure_file:
         failures.extend(load_failure_schedule(_resolve(cfg, cfg.failure_file)))
     return sorted(failures, key=lambda f: (f.start_ms, f.agent_id))

@@ -95,12 +95,10 @@ def allocate(rates: Mapping[int, float], total_agents: int, eta: float = 3.0,
     return Allocation(counts=x, unstable=unstable, starved=starved)
 
 
-def allocate_for_partition(partition, total_agents: int, eta: float = 3.0,
-                           rates: Mapping[int, float] | None = None) -> Allocation:
+def allocate_for_partition(partition, total_agents: int, eta: float = 3.0) -> Allocation:
     """Allocate over a RegionPartition, capped by per-region depot slots."""
-    if rates is None:
-        rates = partition.region_rate
-    return allocate(rates, total_agents, eta=eta, caps=partition.region_slots)
+    return allocate(partition.region_rate, total_agents, eta=eta,
+                    caps=partition.region_slots)
 
 
 def total_expected_wait(rates: Mapping[int, float], counts: Mapping[int, int],

@@ -78,8 +78,6 @@ def decompose(state: SystemState, region: int, world: World) -> RegionState:
 
 def joint_action_count(num_depots: int, num_agents: int) -> int:
     """Distinct agent-to-depot injections with unit depot capacities."""
-    if num_agents > num_depots:
-        return 0
     return math.perm(num_depots, num_agents)
 
 
@@ -109,11 +107,8 @@ def _joint_choices(rs: RegionState, max_joint: int):
     free = sum(slots.values())
     if free < len(idle):
         return (), [()]  # no feasible reshuffle; leave assignments alone
-    bound = 1
-    for i in range(len(idle)):
-        bound *= free - i
-        if bound > max_joint:
-            return None
+    if math.perm(free, len(idle)) > max_joint:
+        return None
     # k-permutations of the free slots come out in lexicographic order of
     # depot ids; a depot with several free slots repeats a tuple, kept once
     slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
@@ -223,10 +218,10 @@ class SearchNode:
 
     __slots__ = ("state", "chain_pos", "cost_from_root", "visits", "utility_sum",
                  "children", "untried", "parent", "terminal", "to_assign",
-                 "partial", "inbound", "idle_ids", "tail")
+                 "partial", "idle_ids", "tail")
 
     def __init__(self, state, chain_pos, cost_from_root, parent=None,
-                 terminal=False, to_assign=None, partial=(), inbound=None):
+                 terminal=False, to_assign=None, partial=()):
         self.state = state
         self.chain_pos = chain_pos
         self.cost_from_root = cost_from_root
@@ -241,7 +236,6 @@ class SearchNode:
         self.terminal = terminal
         self.to_assign = to_assign  # set on per-agent decomposition levels
         self.partial = partial
-        self.inbound = inbound  # action key on the edge from the parent
         self.tail = None  # playout cost of a terminal epoch node, once known
 
     @property
@@ -300,7 +294,6 @@ class _Tree:
         self.root_choices = root_choices  # ...: work them out on first visit
         self.cost_lo = math.inf
         self.cost_hi = -math.inf
-        self.decomposed = False
 
     def _region_view(self, state: SystemState) -> RegionState:
         return RegionState(self.region, state, self.depots)
@@ -323,7 +316,6 @@ class _Tree:
             choices = _joint_choices(self._region_view(node.state),
                                      self.params.max_joint_actions)
         if choices is None:
-            self.decomposed = True
             idle = sorted(a.id for a in node.state.idle_agents())
             node.to_assign = tuple(idle)
             self._init_actions(node)
@@ -337,7 +329,7 @@ class _Tree:
                                 self.params.discount, self.t0, self.end_ms,
                                 stop_after_incident=True)
         child = SearchNode(state, pos, node.cost_from_root + cost,
-                           parent=node, terminal=done, inbound=key)
+                           parent=node, terminal=done)
         node.children[key] = child
         return child
 
@@ -350,8 +342,7 @@ class _Tree:
         if len(partial) == len(node.to_assign):
             return self._make_epoch_child(node, action, partial)
         child = SearchNode(node.state, node.chain_pos, node.cost_from_root,
-                           parent=node, to_assign=node.to_assign, partial=partial,
-                           inbound=action)
+                           parent=node, to_assign=node.to_assign, partial=partial)
         node.children[action] = child
         return child
 
@@ -413,8 +404,8 @@ class _Tree:
                                   stop_after_incident=False)
         return node.cost_from_root + tail
 
-    def run(self, iterations: int, trace=None) -> None:
-        for it in range(iterations):
+    def run(self, iterations: int) -> None:
+        for _ in range(iterations):
             node = self.root
             while True:
                 if node.terminal and node.to_assign is None:
@@ -430,11 +421,6 @@ class _Tree:
             total = self._evaluate(node)
             self.cost_lo = min(self.cost_lo, total)
             self.cost_hi = max(self.cost_hi, total)
-            if trace is not None:
-                top = node
-                while top.parent is not None and top.parent is not self.root:
-                    top = top.parent
-                trace.write(f"{it},{top.inbound},{total:.6f}\n")
             while node is not None:
                 node.visits += 1
                 node.utility_sum -= total
@@ -455,7 +441,7 @@ class _Tree:
             node = child
             if len(pairs) == len(self.root.to_assign):
                 break
-        if self.root.to_assign and len(pairs) < len(self.root.to_assign):
+        if len(pairs) < len(self.root.to_assign):
             probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
                                to_assign=self.root.to_assign,
                                partial=tuple(pairs))
@@ -464,14 +450,16 @@ class _Tree:
 
 
 def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
-                params: MCTSParams, trace=None, root_choices=...) -> MCTSResult:
+                params: MCTSParams, root_choices=...) -> MCTSResult:
     """Score the region's root allocation actions against one chain.
 
     The environment is deterministic given the chain, so the search
     itself is deterministic. Regions with no idle agents need no decision
     and yield an empty score map. root_choices, when given, is
     _joint_choices(rs, params.max_joint_actions), shared by the region's
-    trees; otherwise the tree works it out itself.
+    trees; otherwise the tree works it out itself. A root with more joint
+    actions than params.max_joint_actions assigns its agents one at a
+    time and scores only the best descent's complete assignment.
     """
     if params.iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -482,8 +470,8 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
     if tree.root.terminal:
         # empty chain: every allocation scores alike, nothing to search
         return MCTSResult(scores={}, root=tree.root, iterations=0)
-    tree.run(params.iterations, trace=trace)
-    if tree.decomposed:
+    tree.run(params.iterations)
+    if tree.root.to_assign is not None:
         action = tree.best_descent()
         score = min((c.mean_cost for c in tree.root.children.values()),
                     default=0.0)
@@ -502,7 +490,7 @@ class RegionPlan:
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
                             params: MCTSParams, n_samples: int, seed,
-                            regions=None, trace_dir=None) -> dict[int, RegionPlan]:
+                            regions=None) -> dict[int, RegionPlan]:
     """Root-parallel planning for every region: sample n chains per region,
     run one search tree per chain, average the per-action scores, and pick
     the cheapest action.
@@ -514,11 +502,10 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     added travel, then the lexicographically smallest assignment. Regions
     with no idle agents get action None.
 
-    A region with a single feasible action, which no deeper search node
-    could turn into a decomposed search, gets it without a search (and
-    writes no per-chain search trace): its chains are sampled only until
-    one has an incident inside the horizon; if none has, the action is
-    None, as every tree would have had a terminal root.
+    A region with a single feasible action gets it without a search: its
+    chains are sampled only until one has an incident inside the horizon;
+    if none has, the action is None, as every tree would have had a
+    terminal root.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -534,13 +521,7 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
         if params.iterations < 1:
             raise ValueError("iterations must be >= 1")
         choices = _joint_choices(rs, params.max_joint_actions)
-        # a tree reports PASS when any of its nodes decomposes (see
-        # mcts_search), so a lone action other than PASS is known only
-        # when no node can: perm(slots, agents) bounds every node's count
-        slots = sum(d.capacity for d in rs.depots)
-        single = choices is not None and len(choices[1]) == 1 and (
-            not choices[0] or math.perm(slots, min(slots, len(rs.state.agents)))
-            <= params.max_joint_actions)
+        single = choices is not None and len(choices[1]) == 1
         restricted = model.restrict(world.partition.cells_of(region))
         for i in range(n_samples):
             chain_seed = np.random.SeedSequence(entropy=seed,
@@ -553,16 +534,7 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                     plan.action = AllocationAction(tuple(zip(ids, depots)))
                     break
                 continue
-            trace = None
-            if trace_dir is not None:
-                trace = open(f"{trace_dir}/search_region{region}_chain{i}.csv", "w")
-                trace.write("iteration,action,score\n")
-            try:
-                result = mcts_search(rs, chain, world, params, trace=trace,
-                                     root_choices=choices)
-            finally:
-                if trace is not None:
-                    trace.close()
+            result = mcts_search(rs, chain, world, params, root_choices=choices)
             for action, score in result.scores.items():
                 plan.score_map.add(action, score)
         means = plan.score_map.means()

@@ -191,11 +191,11 @@ def partition_regions(cells: list[Cell], weights, depots: list[Depot],
                            region_slots=region_slots)
 
 
-def load_depots(path) -> list[Depot]:
-    """Read a depot table: depot_id,gx,gy,capacity (gx,gy resolved later).
+def load_depots(path) -> list[tuple[int, int, int, int]]:
+    """Read a depot table: depot_id,gx,gy,capacity.
 
-    Returns depots with cell left as a (gx, gy) pair encoded by the caller;
-    use :func:`resolve_depots` to bind them to a grid.
+    Returns (depot_id, gx, gy, capacity) tuples; use
+    :func:`resolve_depots` to bind them to a grid's cells.
     """
     rows = []
     with open(path, newline="") as f:

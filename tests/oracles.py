@@ -332,7 +332,7 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
                             params: MCTSParams, n_samples: int, seed,
-                            regions=None, trace_dir=None) -> dict[int, RegionPlan]:
+                            regions=None) -> dict[int, RegionPlan]:
     """Root-parallel planning for every region: sample n chains per region,
     run one search tree per chain, average the per-action scores, and pick
     the cheapest action.
@@ -361,15 +361,7 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                                                 spawn_key=(region, i))
             chain = sample_chain(restricted, params.horizon_ms, chain_seed,
                                  start_ms=state.clock_ms)
-            trace = None
-            if trace_dir is not None:
-                trace = open(f"{trace_dir}/search_region{region}_chain{i}.csv", "w")
-                trace.write("iteration,action,score\n")
-            try:
-                result = mcts_search(rs, chain, world, params, trace=trace)
-            finally:
-                if trace is not None:
-                    trace.close()
+            result = mcts_search(rs, chain, world, params)
             for action, score in result.scores.items():
                 plan.score_map.add(action, score)
         means = plan.score_map.means()

@@ -98,6 +98,27 @@ class TestConfig:
             tiny_config(tmp_path, spikes=[dict(start_hour=1.0, end_hour=2.0,
                                                multiplier=2.0)])
 
+    def test_hotspot_rate_not_a_number_named(self, tmp_path):
+        hotspot = {"gx": 1, "gy": 1, "rate_per_hour": "busy"}
+        with pytest.raises(ConfigError, match=r"hotspots\[1\]: needs"):
+            tiny_config(tmp_path, hotspots=[dict(hotspot, rate_per_hour=0.8), hotspot])
+
+    def test_hotspot_negative_rate_named(self, tmp_path):
+        hotspot = {"gx": 1, "gy": 1, "rate_per_hour": -0.5}
+        with pytest.raises(ConfigError, match=r"hotspots\[0\]: rate_per_hour"):
+            tiny_config(tmp_path, hotspots=[hotspot])
+
+    def test_failure_start_not_a_number_named(self, tmp_path):
+        failure = {"agent_id": 1, "start_hour": "noon", "duration_hours": 2.0}
+        with pytest.raises(ConfigError, match=r"failures\[0\]: needs"):
+            tiny_config(tmp_path, failures=[failure])
+
+    @pytest.mark.parametrize("hours", [0.0, -1.0])
+    def test_failure_duration_not_positive_named(self, tmp_path, hours):
+        failure = {"agent_id": 1, "start_hour": 1.0, "duration_hours": hours}
+        with pytest.raises(ConfigError, match=r"failures\[0\]: duration_hours"):
+            tiny_config(tmp_path, failures=[failure])
+
     def test_max_joint_actions_named(self, tmp_path):
         with pytest.raises(ConfigError, match="max_joint_actions"):
             tiny_config(tmp_path, max_joint_actions=0)

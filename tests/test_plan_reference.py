@@ -18,8 +18,8 @@ from hierdispatch import (Agent, AgentStatus, DemandModel, Depot, Incident,
                           SystemState, TravelModel, World, make_grid,
                           partition_regions, plan_region_allocations)
 from hierdispatch import lowlevel
-from hierdispatch.lowlevel import (PASS, AllocationAction, _joint_choices,
-                                   _Tree, decompose, mcts_search)
+from hierdispatch.lowlevel import (AllocationAction, _joint_choices, _Tree,
+                                   decompose, mcts_search)
 
 from conftest import build_world, fresh_state
 
@@ -194,11 +194,17 @@ class TestSingleActionRegion:
             self._plan(monkeypatch, [inside] * 4, n_samples=0)
 
 
-def test_lone_action_searched_when_a_deeper_node_decomposes(monkeypatch):
+def search_nodes(node):
+    yield node
+    for child in node.children.values():
+        yield from search_nodes(child)
+
+
+def test_lone_action_kept_when_a_deeper_node_decomposes(monkeypatch):
     # the idle agent's slot is the only free one, but both busy agents are
     # free after 1 ms: at the next epoch more joint actions than
-    # max_joint_actions exist, that node decomposes, and such a tree
-    # reports PASS (see mcts_search), so the region must still be searched
+    # max_joint_actions exist and that node assigns agents one at a time;
+    # the root still enumerated its one joint action, which is the answer
     world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
     state = fresh_state(world, [0, 1, 2])
     for agent in state.agents[1:]:
@@ -207,22 +213,29 @@ def test_lone_action_searched_when_a_deeper_node_decomposes(monkeypatch):
         agent.busy_until = 1
     model = DemandModel(rates=np.full(10, 2.0))
     params = MCTSParams(iterations=8, max_joint_actions=1)
+    stay = AllocationAction(((0, 0),))
+
+    rs = decompose(state, 0, world)
+    chain = IncidentChain([incident(0, 3, 10), incident(1, 7, HOUR_MS)],
+                          params.horizon_ms)
+    result = mcts_search(rs, chain, world, params)
+    assert any(node.to_assign is not None for node in search_nodes(result.root))
+    assert list(result.scores) == [stay]
+    assert not result.decomposed
+
     searched = []
     search = lowlevel.mcts_search
     monkeypatch.setattr(lowlevel, "mcts_search",
                         lambda *a, **k: searched.append(1) or search(*a, **k))
     action = plan_region_allocations(state, world, model, params, 2, 0)[0].action
-    assert len(searched) == 2
-    assert action == PASS
+    assert searched == []
+    assert action == stay
     assert action == reference(oracles.plan_region_allocations, state, world,
                                model, params, 2, 0)[0].action
 
 
 def terminal_nodes(node):
-    if node.terminal and node.to_assign is None:
-        yield node
-    for child in node.children.values():
-        yield from terminal_nodes(child)
+    return [n for n in search_nodes(node) if n.terminal and n.to_assign is None]
 
 
 def test_terminal_leaf_is_played_once(monkeypatch, line_world):
@@ -233,7 +246,7 @@ def test_terminal_leaf_is_played_once(monkeypatch, line_world):
                                       line_world.depots),
                  chain, line_world, MCTSParams(iterations=30))
     tree.run(30)
-    leaves = list(terminal_nodes(tree.root))
+    leaves = terminal_nodes(tree.root)
     assert any(leaf.state.pending for leaf in leaves)
     plays, clones = [], []
     play, clone = lowlevel._play, SystemState.clone
