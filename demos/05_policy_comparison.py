@@ -15,16 +15,16 @@ from hierdispatch import load_config, run_experiment
 cfg = load_config("configs/synthetic_nonstationary.yaml")
 cfg.seeds = [1]
 
-out = Path(tempfile.mkdtemp(prefix="hierdispatch_demo_"))
 rows = []
-for mode in ("baseline", "lowlevel", "hierarchical"):
-    c = copy.deepcopy(cfg)
-    c.mode = mode
-    started = time.perf_counter()
-    report = run_experiment(c, out / mode)
-    q1, _q2, q3 = report.quartiles()
-    rows.append((mode, report.count, report.mean, q1, q3,
-                 report.transfers, time.perf_counter() - started))
+with tempfile.TemporaryDirectory(prefix="hierdispatch_demo_") as out:
+    for mode in ("baseline", "lowlevel", "hierarchical"):
+        c = copy.deepcopy(cfg)
+        c.mode = mode
+        started = time.perf_counter()
+        report = run_experiment(c, Path(out) / mode)
+        q1, _q2, q3 = report.quartiles()
+        rows.append((mode, report.count, report.mean, q1, q3,
+                     report.transfers, time.perf_counter() - started))
 
 print(f"\nresults over {rows[0][1]} incidents "
       f"(4x spikes hit region 0 at 06:00 and region 2 at 14:00):\n")
@@ -38,8 +38,7 @@ base = rows[0][2]
 print("\nimprovement over the static baseline:")
 for mode, _n, mean, *_ in rows[1:]:
     print(f"  {mode}: {base - mean:+.1f} s mean response time")
-print(f"\noutput files (incident logs, summaries, reports): {out}")
-print("same comparison via the CLI:")
+print("\nthe same comparison via the CLI, keeping the output files:")
 print("  hierdispatch run --config configs/synthetic_nonstationary.yaml "
       "--mode baseline --out out/base")
 print("  hierdispatch compare out/base/report.json out/hier/report.json")

@@ -25,7 +25,8 @@ from enum import Enum, IntEnum
 
 from .demand import DemandModel, IncidentChain, region_rates_at
 from .highlevel import allocate
-from .lowlevel import MCTSParams, apply_allocation, plan_region_allocations
+from .lowlevel import (MCTSParams, TreePool, apply_allocation, helper_count,
+                       plan_region_allocations)
 from .simulator import (DispatchRecord, SystemState, advance, assign_depot,
                         assign_region, depot_occupancy,
                         greedy_dispatch_pending)
@@ -150,6 +151,7 @@ class Coordinator:
         self.seed = seed
         self.trace = trace
         self._decision_index = 0
+        self._pool = None  # set while run() plans with helper processes
 
     # -- event helpers -------------------------------------------------
     def _push(self, heap, time_ms, kind, payload_id, payload=None):
@@ -217,7 +219,7 @@ class Coordinator:
         plans = plan_region_allocations(
             state, self.world, self.model, self.planner.mcts,
             n_samples=self.planner.n_samples,
-            seed=(self.seed, self._decision_index))
+            seed=(self.seed, self._decision_index), pool=self._pool)
         for region in sorted(plans):
             action = plans[region].action
             if action is not None and action.assignment:
@@ -255,7 +257,25 @@ class Coordinator:
 
         observer(coordinator, state, kind) is called after each processed
         event, once the coordinator has finished acting on it.
+
+        With a planner, a decision's search trees also run in helper
+        processes, one fewer than the usable cores (see
+        lowlevel.helper_count); they fork at the first decision with two
+        or more trees and are stopped before this returns or raises.
         """
+        helpers = 0
+        if self.mode is not PolicyMode.BASELINE_STATIC:
+            helpers = helper_count(self.planner.n_samples
+                                   * len(self.world.partition.regions()))
+        self._pool = TreePool(self.world, helpers) if helpers else None
+        try:
+            return self._run(state, chain, horizon_ms, failures, observer)
+        finally:
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
+
+    def _run(self, state, chain, horizon_ms, failures, observer) -> RunResult:
         result = RunResult(records=[], planner_seconds=[], transfers=[],
                            pending_at_end=0)
         self._seq = iter(range(10 ** 12))

@@ -258,17 +258,31 @@ def _build_failures(cfg: ScenarioConfig) -> list[FailureEvent]:
 
 
 def load_failure_schedule(path) -> list[FailureEvent]:
-    """Read agent_id,start_time_s,duration_s rows."""
+    """Read agent_id,start_time_s,duration_s rows.
+
+    A bad row raises a ConfigError naming the file, the row (counted from
+    1 after the header) and the key.
+    """
     out = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         required = {"agent_id", "start_time_s", "duration_s"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"failure file {path}: expected columns {sorted(required)}")
-        for row in reader:
-            out.append(FailureEvent(agent_id=int(row["agent_id"]),
-                                    start_ms=seconds_to_ms(float(row["start_time_s"])),
-                                    duration_ms=seconds_to_ms(float(row["duration_s"]))))
+            raise ConfigError(f"failure file {path}: expected columns {sorted(required)}")
+        for n, row in enumerate(reader, start=1):
+            def read(key, parse):
+                try:
+                    return parse(row[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"failure file {path} row {n}: {key} "
+                                      f"{row[key]!r} is not a number") from exc
+            agent_id = read("agent_id", int)
+            start_ms = read("start_time_s", lambda v: seconds_to_ms(float(v)))
+            duration_ms = read("duration_s", lambda v: seconds_to_ms(float(v)))
+            if duration_ms <= 0:
+                raise ConfigError(f"failure file {path} row {n}: duration_s "
+                                  "must be positive (1 ms or more)")
+            out.append(FailureEvent(agent_id, start_ms, duration_ms))
     return out
 
 

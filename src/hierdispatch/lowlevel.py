@@ -23,6 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -481,6 +486,164 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
     return MCTSResult(scores=scores, root=tree.root, iterations=params.iterations)
 
 
+def _search_task(task, world: World, params: MCTSParams):
+    """One tree of a decision: its root actions' scores, in root order."""
+    rs, chain, choices = task
+    return list(mcts_search(rs, chain, world, params,
+                            root_choices=choices).scores.items())
+
+
+def _claims(counter, order: list[int]):
+    """Task indices in order, each taken by the process whose turn on the
+    shared counter it is, until the counter passes the end."""
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(order):
+            return
+        yield order[k]
+
+
+def _helper(conn, counter, world: World, inherited) -> None:
+    """A helper's loop: take a decision's (region state, chain) list, claim
+    and run trees, send back (index, scores) pairs or the exception a tree
+    raised."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
+    for other in inherited:  # so a dead caller reads as EOF here
+        other.close()
+    while True:
+        try:
+            tasks, order, params = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        # root choices by region, worked out here once per region: cheaper
+        # than pickling them (up to thousands of depot tuples)
+        choices = {}
+        try:
+            done = []
+            for i in _claims(counter, order):
+                rs, chain = tasks[i]
+                if rs.region not in choices:
+                    choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
+                done.append((i, _search_task((rs, chain, choices[rs.region]),
+                                             world, params)))
+            reply = ("ok", done)
+        except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+            tb = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # noqa: BLE001 - it cannot travel as it is
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            reply = ("error", exc, tb)
+        conn.send(reply)
+
+
+def helper_count(max_tasks: int) -> int:
+    """Helpers worth forking for decisions of at most max_tasks trees: one
+    fewer than the usable cores, 0 where the fork start method is missing."""
+    # imported here: runs without a planner never need it, and importing
+    # it adds ~0.7 MB to their peak RSS
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(0, min(cores, max_tasks) - 1)
+
+
+class TreePool:
+    """Runs a decision's search trees on the caller and forked helpers.
+
+    Root parallelisation: every tree is independent. The caller and each
+    helper take task indices from one shared counter until it passes the
+    end, and results are placed by index, so what a decision returns does
+    not depend on which process ran a tree. Helpers fork on the first run
+    with 2 or more tasks and inherit world; only the tasks are pickled. A
+    process that has other threads forks none and runs every tree itself.
+    """
+
+    POLL_S = 0.05
+
+    def __init__(self, world: World, helpers: int):
+        self.world = world
+        self.helpers = helpers
+        self._workers: list = []  # (process, connection)
+        self._next = None
+
+    def _start(self) -> None:
+        import multiprocessing  # see helper_count
+        ctx = multiprocessing.get_context("fork")
+        self._next = ctx.Value("i", 0)
+        for _ in range(self.helpers):
+            mine, theirs = ctx.Pipe()
+            inherited = [conn for _proc, conn in self._workers] + [mine]
+            proc = ctx.Process(target=_helper, daemon=True,
+                               args=(theirs, self._next, self.world, inherited))
+            proc.start()
+            theirs.close()
+            self._workers.append((proc, mine))
+
+    def _receive(self, proc, conn):
+        while not conn.poll(self.POLL_S):
+            if not proc.is_alive() and not conn.poll(0):
+                break
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):
+            proc.join(1.0)
+            raise RuntimeError(f"search helper {proc.pid} died with exit "
+                               f"code {proc.exitcode}") from None
+        if reply[0] == "error":
+            _tag, exc, tb = reply
+            raise exc from RuntimeError(f"in search helper {proc.pid}:\n{tb}")
+        return reply[1]
+
+    def run(self, tasks, params: MCTSParams) -> list:
+        """Each task's (action, score) list, in task order."""
+        if len(tasks) >= 2 and not self._workers and threading.active_count() > 1:
+            self.helpers = 0  # forking a process that has threads is unsafe
+        if self.helpers < 1 or len(tasks) < 2:
+            return [_search_task(t, self.world, params) for t in tasks]
+        try:
+            if not self._workers:
+                self._start()
+            self._next.value = 0  # helpers wait on their pipe: no one claims
+            # the costliest trees first (incidents x agents predicts a
+            # tree's time), so that no process ends on a long one alone
+            order = sorted(range(len(tasks)), key=lambda i: -len(
+                tasks[i][1].incidents) * len(tasks[i][0].state.agents))
+            payload = pickle.dumps(([(rs, chain) for rs, chain, _c in tasks],
+                                    order, params), pickle.HIGHEST_PROTOCOL)
+            for _proc, conn in self._workers:
+                conn.send_bytes(payload)
+            results = [None] * len(tasks)
+            for i in _claims(self._next, order):
+                results[i] = _search_task(tasks[i], self.world, params)
+            for proc, conn in self._workers:
+                for i, scores in self._receive(proc, conn):
+                    results[i] = scores
+            return results
+        except BaseException:
+            self.close(kill=True)  # helpers may be mid-tree
+            raise
+
+    def close(self, kill: bool = False) -> None:
+        """Stop every helper; the pool forks new ones if run again."""
+        workers, self._workers = self._workers, []
+        for proc, conn in workers:
+            conn.close()  # EOF ends an idle helper's loop
+            if kill:
+                proc.kill()
+        for proc, _conn in workers:
+            proc.join(1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+
+
 @dataclass
 class RegionPlan:
     region: int
@@ -490,7 +653,8 @@ class RegionPlan:
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
                             params: MCTSParams, n_samples: int, seed,
-                            regions=None) -> dict[int, RegionPlan]:
+                            regions=None, pool: TreePool | None = None
+                            ) -> dict[int, RegionPlan]:
     """Root-parallel planning for every region: sample n chains per region,
     run one search tree per chain, average the per-action scores, and pick
     the cheapest action.
@@ -505,13 +669,20 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     A region with a single feasible action gets it without a search: its
     chains are sampled only until one has an incident inside the horizon;
     if none has, the action is None, as every tree would have had a
-    terminal root.
+    terminal root. A chain with no incident inside the horizon gets no
+    tree for the same reason.
+
+    The trees run through pool when one is given (its world must be
+    world), in this process otherwise; the plan is the same either way.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if pool is not None and pool.world is not world:
+        raise ValueError("the pool was made for another world")
     if regions is None:
         regions = world.partition.regions()
     plans: dict[int, RegionPlan] = {}
+    tasks = []
     for region in sorted(regions):
         rs = decompose(state, region, world)
         plan = RegionPlan(region=region, action=None)
@@ -528,15 +699,22 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                                                 spawn_key=(region, i))
             chain = sample_chain(restricted, params.horizon_ms, chain_seed,
                                  start_ms=state.clock_ms)
-            if single:
-                if _in_window(chain, state.clock_ms, params.horizon_ms):
-                    ids, (depots,) = choices
-                    plan.action = AllocationAction(tuple(zip(ids, depots)))
-                    break
+            if not _in_window(chain, state.clock_ms, params.horizon_ms):
                 continue
-            result = mcts_search(rs, chain, world, params, root_choices=choices)
-            for action, score in result.scores.items():
-                plan.score_map.add(action, score)
+            if single:
+                ids, (depots,) = choices
+                plan.action = AllocationAction(tuple(zip(ids, depots)))
+                break
+            tasks.append((rs, chain, choices))
+    if pool is None:
+        results = [_search_task(task, world, params) for task in tasks]
+    else:
+        results = pool.run(tasks, params)
+    for (rs, _chain, _choices), scores in zip(tasks, results):
+        for action, score in scores:
+            plans[rs.region].score_map.add(action, score)
+    for rs in {rs.region: rs for rs, _chain, _choices in tasks}.values():
+        plan = plans[rs.region]
         means = plan.score_map.means()
         if not means:
             continue

@@ -1,8 +1,22 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from hierdispatch import (Agent, AgentStatus, Depot, SystemState, TravelModel,
                           World, make_grid, partition_regions)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes():
+    """Fail a test that leaves a child process (a search helper) alive."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.kill()
+        proc.join()
+    if leaked:
+        pytest.fail(f"{len(leaked)} child process(es) still alive: {leaked}")
 
 
 def build_world(width=10, height=1, depot_xy=((0, 0), (9, 0)), k=1,

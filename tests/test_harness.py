@@ -201,6 +201,18 @@ class TestScenario:
         assert failures[0].start_ms == 1001
         assert failures[0].duration_ms == 1
 
+    @pytest.mark.parametrize("row, key", [
+        ("1,7200,0", "duration_s"),            # zero duration
+        ("1,noon,3600", "start_time_s"),       # not a number
+        ("one,7200,3600", "agent_id"),         # not an integer
+    ])
+    def test_failure_schedule_bad_row_named(self, tmp_path, row, key):
+        p = tmp_path / "failures.csv"
+        p.write_text(f"agent_id,start_time_s,duration_s\n0,0,60\n{row}\n")
+        cfg = tiny_config(tmp_path, failure_file=str(p))
+        with pytest.raises(ConfigError, match=rf"failures.csv row 2: {key}"):
+            build_scenario(cfg)
+
     @pytest.mark.parametrize("windows", [
         [(2.0, 8.0), (3.0, 2.0)],   # nested: (2 h, 10 h) holds (3 h, 5 h)
         [(2.0, 4.0), (4.0, 4.0), (5.0, 2.0)],  # third overlaps the second

@@ -1,0 +1,265 @@
+"""The tree pool: a decision's search trees run on the caller and forked
+helper processes, and the plan is the one the caller alone would make.
+
+Helpers claim trees from a shared counter, so which process runs which
+tree changes from run to run; every test here asserts what must not
+depend on it.
+"""
+
+import copy
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from hierdispatch import (Coordinator, DemandModel, IncidentChain, MCTSParams,
+                          PlannerConfig, PolicyMode, load_config, run_experiment)
+from hierdispatch import coordinator, lowlevel
+from hierdispatch.lowlevel import TreePool, helper_count, plan_region_allocations
+
+from conftest import build_world, fresh_state
+from test_plan_reference import incident, tiny_plans
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+HOUR_MS = 3_600_000
+BOUND_S = 60
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, when the block outlasts seconds."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@contextmanager
+def pool_for(world, helpers=1):
+    pool = TreePool(world, helpers)
+    try:
+        yield pool
+    finally:
+        pool.close()
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=tiny_plans())
+def test_pool_plan_equals_in_process_plan(case):
+    state, world, model, params, n_samples, seed = case
+    alone = plan_region_allocations(state, world, model, params, n_samples, seed)
+    with pool_for(world) as pool:
+        pooled = plan_region_allocations(state, world, model, params,
+                                         n_samples, seed, pool=pool)
+    assert {r: p.action for r, p in pooled.items()} == \
+        {r: p.action for r, p in alone.items()}
+    assert {r: p.score_map.scores for r, p in pooled.items()} == \
+        {r: p.score_map.scores for r, p in alone.items()}
+
+
+def test_pool_of_another_world_rejected():
+    world = build_world()
+    state = fresh_state(world, [0])
+    with pytest.raises(ValueError, match="world"):
+        plan_region_allocations(state, world, DemandModel(rates=np.ones(10)),
+                                MCTSParams(iterations=4), 2, 0,
+                                pool=TreePool(build_world(), 1))
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The number of times any pool forked its helpers."""
+    calls = []
+    start = TreePool._start
+
+    def counted(self):
+        calls.append(self.helpers)
+        return start(self)
+    monkeypatch.setattr(TreePool, "_start", counted)
+    return calls
+
+
+def test_incident_files_identical_with_and_without_a_helper(tmp_path, monkeypatch,
+                                                            starts):
+    cfg = load_config(os.path.join(CONFIG_DIR, "synthetic_nonstationary.yaml"))
+    cfg.seeds, cfg.horizon_hours = [1, 2], 8.0
+    cfg.validate()
+    outputs = {}
+    for helpers in (0, 1):
+        monkeypatch.setattr(coordinator, "helper_count", lambda _n, h=helpers: h)
+        run_experiment(copy.deepcopy(cfg), tmp_path / str(helpers), trace=True)
+        outputs[helpers] = {name: (tmp_path / str(helpers) / name).read_bytes()
+                            for name in ("incidents_seed1.csv", "incidents_seed2.csv",
+                                         "trajectory_seed1.log", "trajectory_seed2.log")}
+    assert starts == [1, 1]  # one fork per seed's run, none without helpers
+    assert outputs[1] == outputs[0]
+
+
+def busy_region():
+    """One region, three depots, two idle agents, incidents in every
+    chain: a decision with n_samples trees."""
+    world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
+    return world, fresh_state(world, [0, 2]), DemandModel(rates=np.full(10, 2.0))
+
+
+def search_in_helpers(monkeypatch, in_helper):
+    """mcts_search that calls in_helper() in helper processes and is slow
+    in the caller, so that the helper surely takes a tree."""
+    caller = os.getpid()
+    search = lowlevel.mcts_search
+
+    def patched(*args, **kwargs):
+        if os.getpid() != caller:
+            in_helper()
+        else:
+            time.sleep(0.2)
+        return search(*args, **kwargs)
+    monkeypatch.setattr(lowlevel, "mcts_search", patched)
+
+
+class Boom(Exception):
+    pass
+
+
+def test_tree_error_in_helper_raised_in_caller(monkeypatch):
+    world, state, model = busy_region()
+
+    def fail():
+        raise Boom("tree failed")
+    search_in_helpers(monkeypatch, fail)
+    with deadline(BOUND_S), pool_for(world) as pool:
+        with pytest.raises(Boom, match="tree failed") as info:
+            plan_region_allocations(state, world, model, MCTSParams(iterations=4),
+                                    n_samples=4, seed=0, pool=pool)
+        assert "in fail" in str(info.value.__cause__)  # the helper's traceback
+        assert multiprocessing.active_children() == []
+
+
+class TwoArgs(Exception):
+    def __init__(self, what, code):
+        super().__init__(f"{what} ({code})")
+
+
+def test_error_that_cannot_be_unpickled_still_raised(monkeypatch):
+    world, state, model = busy_region()
+
+    def fail():
+        raise TwoArgs("tree failed", 7)
+    search_in_helpers(monkeypatch, fail)
+    with deadline(BOUND_S), pool_for(world) as pool:
+        with pytest.raises(RuntimeError, match=r"TwoArgs: tree failed \(7\)"):
+            plan_region_allocations(state, world, model, MCTSParams(iterations=4),
+                                    n_samples=4, seed=0, pool=pool)
+
+
+def test_killed_helper_raises_in_caller(monkeypatch):
+    world, state, model = busy_region()
+    search_in_helpers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with deadline(BOUND_S), pool_for(world) as pool:
+        with pytest.raises(RuntimeError, match=f"exit code -{signal.SIGKILL}"):
+            plan_region_allocations(state, world, model, MCTSParams(iterations=4),
+                                    n_samples=4, seed=0, pool=pool)
+        assert multiprocessing.active_children() == []
+
+
+def test_pool_reused_across_decisions(starts):
+    world, state, model = busy_region()
+    with pool_for(world) as pool:
+        for seed in range(3):
+            alone = plan_region_allocations(state, world, model,
+                                            MCTSParams(iterations=8), 3, seed)
+            pooled = plan_region_allocations(state, world, model,
+                                             MCTSParams(iterations=8), 3, seed,
+                                             pool=pool)
+            assert pooled[0].score_map.scores == alone[0].score_map.scores
+    assert starts == [1]
+
+
+def test_no_fork_while_another_thread_runs(starts):
+    world, state, model = busy_region()
+    alone = plan_region_allocations(state, world, model, MCTSParams(iterations=8), 3, 0)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(BOUND_S,))
+    thread.start()
+    try:
+        with pool_for(world) as pool:
+            pooled = plan_region_allocations(state, world, model,
+                                             MCTSParams(iterations=8), 3, 0, pool=pool)
+    finally:
+        release.set()
+        thread.join(BOUND_S)
+    assert starts == []
+    assert pooled[0].score_map.scores == alone[0].score_map.scores
+
+
+def test_helper_count_bounded_by_cores_and_trees(monkeypatch):
+    monkeypatch.setattr(lowlevel.os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3})
+    assert [helper_count(n) for n in (1, 2, 3, 4, 50)] == [0, 1, 2, 3, 3]
+    monkeypatch.setattr(lowlevel.os, "sched_getaffinity", lambda _pid: {0})
+    assert helper_count(50) == 0
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(lowlevel.os, "sched_getaffinity", lambda _pid: {0, 1})
+    assert helper_count(50) == 0
+
+
+def planned_run(mode, n_samples=3):
+    world, state, model = busy_region()
+    coord = Coordinator(world, model, mode,
+                        planner=PlannerConfig(mcts=MCTSParams(iterations=8),
+                                              n_samples=n_samples))
+    chain = IncidentChain([incident(i, 3 + i % 4, (i + 1) * 20 * 60_000)
+                           for i in range(6)], 4 * HOUR_MS)
+    return coord, state, chain
+
+
+class TestCoordinatorOwnsPool:
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        monkeypatch.setattr(lowlevel.os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3})
+
+    def test_no_helper_outlives_a_run(self, starts):
+        coord, state, chain = planned_run(PolicyMode.LOW_LEVEL_ONLY)
+        seen = []
+        coord.run(state, chain, 4 * HOUR_MS,
+                  observer=lambda *_: seen.append(len(multiprocessing.active_children())))
+        assert starts == [2]  # min(4 cores, 3 trees x 1 region) - 1
+        assert max(seen) == 2
+        assert multiprocessing.active_children() == []
+        assert coord._pool is None
+
+    def test_no_helper_outlives_a_failed_run(self, monkeypatch, starts):
+        coord, state, chain = planned_run(PolicyMode.HIERARCHICAL)
+        search = lowlevel.mcts_search
+        calls = []
+
+        def fail_later(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 3:
+                raise Boom("late")
+            return search(*args, **kwargs)
+        monkeypatch.setattr(lowlevel, "mcts_search", fail_later)
+        with deadline(BOUND_S), pytest.raises(Boom):
+            coord.run(state, chain, 4 * HOUR_MS)
+        assert starts
+        assert multiprocessing.active_children() == []
+
+    def test_baseline_starts_no_helper(self, starts):
+        coord, state, chain = planned_run(PolicyMode.BASELINE_STATIC)
+        coord.run(state, chain, 4 * HOUR_MS)
+        assert starts == []
+
+    def test_one_tree_per_decision_starts_no_helper(self, starts):
+        coord, state, chain = planned_run(PolicyMode.LOW_LEVEL_ONLY, n_samples=1)
+        coord.run(state, chain, 4 * HOUR_MS)
+        assert starts == []
