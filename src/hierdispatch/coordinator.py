@@ -260,15 +260,15 @@ class Coordinator:
 
         With a planner, a decision's search trees also run in helper
         processes, one fewer than the usable cores (see
-        lowlevel.helper_count); they fork at the first decision with two
-        or more trees and are stopped before this returns or raises.
+        lowlevel.helper_count); they fork when this starts and are stopped
+        before it returns or raises.
         """
         helpers = 0
         if self.mode is not PolicyMode.BASELINE_STATIC:
             helpers = helper_count(self.planner.n_samples
                                    * len(self.world.partition.regions()))
-        self._pool = TreePool(self.world, helpers) if helpers else None
         try:
+            self._pool = TreePool(self.world, helpers) if helpers else None
             return self._run(state, chain, horizon_ms, failures, observer)
         finally:
             if self._pool is not None:

@@ -7,13 +7,11 @@ as piecewise constant, which is exact for step rates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
-from datetime import datetime
 
 import numpy as np
 
-from .units import MS_PER_HOUR, MS_PER_MINUTE, seconds_to_ms
+from .units import MS_PER_HOUR, MS_PER_MINUTE
 
 
 class EmptyHistory(Exception):
@@ -183,26 +181,3 @@ def region_rates_at(model: DemandModel, partition, t_ms: int) -> dict[int, float
     for cell, region in partition.cell_to_region.items():
         rates[region] += model.rate_at(cell, t_ms)
     return rates
-
-
-def load_history(path, width: int, height: int):
-    """Read incident_id,timestamp_iso8601,gx,gy rows into (cell, ms) pairs.
-
-    Timestamps are measured from the earliest record.
-    """
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        required = {"incident_id", "timestamp_iso8601", "gx", "gy"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"history file {path}: expected columns {sorted(required)}")
-        for row in reader:
-            ts = datetime.fromisoformat(row["timestamp_iso8601"])
-            gx, gy = int(row["gx"]), int(row["gy"])
-            if not (0 <= gx < width and 0 <= gy < height):
-                raise ValueError(f"history record {row['incident_id']}: cell outside grid")
-            rows.append((gy * width + gx, ts))
-    if not rows:
-        return []
-    t0 = min(ts for _c, ts in rows)
-    return [(c, seconds_to_ms((ts - t0).total_seconds())) for c, ts in rows]

@@ -20,18 +20,19 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from datetime import datetime
 
 import numpy as np
 import yaml
 
 from .coordinator import (Coordinator, FailureEvent, PlannerConfig,
                           PolicyMode)
-from .demand import DemandModel, ServiceLaw, SpikeWindow, fit_rates, load_history, sample_chain
+from .demand import DemandModel, ServiceLaw, SpikeWindow, fit_rates, sample_chain
 from .highlevel import allocate_for_partition
 from .lowlevel import MCTSParams
 from .simulator import Agent, AgentStatus, SystemState
-from .spatial import (RegionPartition, TravelModel, World, load_depots,
-                      make_grid, partition_regions, resolve_depots)
+from .spatial import (Depot, RegionPartition, TravelModel, World, make_grid,
+                      partition_regions)
 from .units import MS_PER_MINUTE, hours_to_ms, seconds_to_ms
 
 
@@ -99,6 +100,12 @@ class ScenarioConfig:
                       or self.history_file)
         need(has_demand, "base_rate_per_hour",
              "no demand: set base_rate_per_hour, hotspots, or history_file")
+        if self.history_file:
+            need(self.history_horizon_hours is not None, "history_horizon_hours",
+                 "required with history_file")
+        if self.history_horizon_hours is not None:
+            need(self.history_horizon_hours > 0, "history_horizon_hours",
+                 "must be positive")
         need(self.service_minutes > 0, "service_minutes", "must be positive")
         need(self.service_law in ("fixed", "exponential"), "service_law",
              "must be 'fixed' or 'exponential'")
@@ -128,9 +135,10 @@ class ScenarioConfig:
         return 60.0 / self.service_minutes
 
 
-def _check_spike(cfg: ScenarioConfig, name: str, s) -> None:
-    """ConfigError naming the spike unless it has its keys, start < end,
-    multiplier >= 1, and a region or cells that exist."""
+def _check_spike(cfg: ScenarioConfig, name: str, s):
+    """The spike's (start_ms, end_ms, multiplier, region, cells); a
+    ConfigError naming it unless it has its keys, start < end, multiplier
+    >= 1, and a region or (gx, gy) cells that exist."""
     try:
         start = hours_to_ms(float(s["start_hour"]))
         end = hours_to_ms(float(s["end_hour"]))
@@ -151,11 +159,12 @@ def _check_spike(cfg: ScenarioConfig, name: str, s) -> None:
     for gx, gy in cells:
         if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
             raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
+    return start, end, mult, region, cells
 
 
-def _check_hotspot(cfg: ScenarioConfig, name: str, h) -> None:
-    """ConfigError naming the hotspot unless it has gx, gy inside the grid
-    and a numeric rate_per_hour >= 0."""
+def _check_hotspot(cfg: ScenarioConfig, name: str, h):
+    """The hotspot's (gx, gy, rate_per_hour); a ConfigError naming it
+    unless gx, gy lie inside the grid and rate_per_hour is a number >= 0."""
     try:
         gx, gy, rate = int(h["gx"]), int(h["gy"]), float(h["rate_per_hour"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -164,20 +173,22 @@ def _check_hotspot(cfg: ScenarioConfig, name: str, h) -> None:
         raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
     if not rate >= 0:
         raise ConfigError(f"{name}: rate_per_hour must be >= 0")
+    return gx, gy, rate
 
 
-def _check_failure(name: str, f) -> None:
-    """ConfigError naming the failure unless it has agent_id, a numeric
-    start_hour, and a duration_hours of at least one millisecond."""
+def _check_failure(name: str, f) -> FailureEvent:
+    """The failure's event; a ConfigError naming it unless it has agent_id,
+    a numeric start_hour, and a duration_hours of at least one millisecond."""
     try:
-        int(f["agent_id"])
-        hours_to_ms(float(f["start_hour"]))
+        agent_id = int(f["agent_id"])
+        start_ms = hours_to_ms(float(f["start_hour"]))
         duration_ms = hours_to_ms(float(f.get("duration_hours", 8.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: needs agent_id, numeric start_hour "
                           "and duration_hours") from exc
     if duration_ms <= 0:
         raise ConfigError(f"{name}: duration_hours must be positive")
+    return FailureEvent(agent_id, start_ms, duration_ms)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -217,82 +228,122 @@ class Scenario:
 
 def _build_rates(cfg: ScenarioConfig, num_cells: int, width: int) -> np.ndarray:
     if cfg.history_file:
-        horizon = cfg.history_horizon_hours
-        if not horizon:
-            raise ConfigError("history_horizon_hours: required with history_file")
         history = load_history(_resolve(cfg, cfg.history_file), width,
                                cfg.grid_height)
-        return fit_rates(history, horizon, num_cells).rates
+        return fit_rates(history, cfg.history_horizon_hours, num_cells).rates
     rates = np.full(num_cells, float(cfg.base_rate_per_hour))
-    for h in cfg.hotspots:  # validated
-        rates[int(h["gy"]) * width + int(h["gx"])] = float(h["rate_per_hour"])
+    for i, h in enumerate(cfg.hotspots):
+        gx, gy, rate = _check_hotspot(cfg, f"hotspots[{i}]", h)
+        rates[gy * width + gx] = rate
     return rates
 
 
 def _build_spikes(cfg: ScenarioConfig, partition: RegionPartition,
                   width: int) -> list[SpikeWindow]:
-    """The spike windows of a validated config."""
+    """The config's spike windows."""
     spikes = []
-    for s in cfg.spikes:
-        if "region" in s:
-            cells = frozenset(c for c, r in partition.cell_to_region.items()
-                              if r == int(s["region"]))
+    for i, s in enumerate(cfg.spikes):
+        start_ms, end_ms, mult, region, cells = _check_spike(cfg, f"spikes[{i}]", s)
+        if region is not None:
+            ids = frozenset(c for c, r in partition.cell_to_region.items()
+                            if r == region)
         else:
-            cells = frozenset(int(gy) * width + int(gx) for gx, gy in s["cells"])
-        spikes.append(SpikeWindow(cells=cells,
-                                  start_ms=hours_to_ms(float(s["start_hour"])),
-                                  end_ms=hours_to_ms(float(s["end_hour"])),
-                                  multiplier=float(s["multiplier"])))
+            ids = frozenset(gy * width + gx for gx, gy in cells)
+        spikes.append(SpikeWindow(cells=ids, start_ms=start_ms, end_ms=end_ms,
+                                  multiplier=mult))
     return spikes
 
 
 def _build_failures(cfg: ScenarioConfig) -> list[FailureEvent]:
-    """The failure events of a validated config and of its failure file."""
-    failures = [FailureEvent(agent_id=int(f["agent_id"]),
-                             start_ms=hours_to_ms(float(f["start_hour"])),
-                             duration_ms=hours_to_ms(float(f.get("duration_hours", 8.0))))
-                for f in cfg.failures]
+    """The failure events of the config and of its failure file."""
+    failures = [_check_failure(f"failures[{i}]", f)
+                for i, f in enumerate(cfg.failures)]
     if cfg.failure_file:
         failures.extend(load_failure_schedule(_resolve(cfg, cfg.failure_file)))
     return sorted(failures, key=lambda f: (f.start_ms, f.agent_id))
 
 
-def load_failure_schedule(path) -> list[FailureEvent]:
-    """Read agent_id,start_time_s,duration_s rows.
+def _rows(path, what: str, columns: tuple[str, ...]):
+    """A reader per row of a CSV file that has the given columns.
 
-    A bad row raises a ConfigError naming the file, the row (counted from
-    1 after the header) and the key.
+    read(key, parse, need, ok) returns parse(row[key]) if it raises no
+    TypeError or ValueError and ok accepts it; otherwise it raises a
+    ConfigError naming the file, the row (counted from 1 after the
+    header), the key, and what the value must be (need).
     """
-    out = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        required = {"agent_id", "start_time_s", "duration_s"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ConfigError(f"failure file {path}: expected columns {sorted(required)}")
+        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+            raise ConfigError(f"{what} file {path}: expected columns {sorted(columns)}")
         for n, row in enumerate(reader, start=1):
-            def read(key, parse):
+            def read(key, parse, need, ok=lambda _value: True):
                 try:
-                    return parse(row[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"failure file {path} row {n}: {key} "
-                                      f"{row[key]!r} is not a number") from exc
-            agent_id = read("agent_id", int)
-            start_ms = read("start_time_s", lambda v: seconds_to_ms(float(v)))
-            duration_ms = read("duration_s", lambda v: seconds_to_ms(float(v)))
-            if duration_ms <= 0:
-                raise ConfigError(f"failure file {path} row {n}: duration_s "
-                                  "must be positive (1 ms or more)")
-            out.append(FailureEvent(agent_id, start_ms, duration_ms))
-    return out
+                    value = parse(row[key])
+                    if ok(value):
+                        return value
+                except (TypeError, ValueError):
+                    pass
+                raise ConfigError(f"{what} file {path} row {n}: {key} "
+                                  f"{row[key]!r} must be {need}")
+            yield read
+
+
+def _cell(read, width: int, height: int) -> int:
+    """The row-major id of a row's gx, gy cell on a width x height grid."""
+    gx = read("gx", int, f"an integer in range({width})", range(width).__contains__)
+    gy = read("gy", int, f"an integer in range({height})", range(height).__contains__)
+    return gy * width + gx
+
+
+def load_depot_file(path, width: int, height: int) -> list[Depot]:
+    """Read depot_id,gx,gy,capacity rows into depots on a width x height
+    grid. A bad row raises a ConfigError naming the file, the row and the
+    key (see _rows)."""
+    depots: dict[int, Depot] = {}
+    for read in _rows(path, "depot", ("depot_id", "gx", "gy", "capacity")):
+        depot_id = read("depot_id", int, "an integer no earlier row has",
+                        lambda i: i not in depots)
+        cell = _cell(read, width, height)
+        capacity = read("capacity", int, "an integer >= 1", lambda c: c >= 1)
+        depots[depot_id] = Depot(id=depot_id, cell=cell, capacity=capacity)
+    return list(depots.values())
+
+
+def load_history(path, width: int, height: int) -> list[tuple[int, int]]:
+    """Read incident_id,timestamp_iso8601,gx,gy rows into (cell, ms) pairs,
+    timestamps measured from the earliest record. A bad row raises a
+    ConfigError naming the file, the row and the key (see _rows)."""
+    rows = [(read("timestamp_iso8601", datetime.fromisoformat, "an ISO 8601 time"),
+             _cell(read, width, height))
+            for read in _rows(path, "history",
+                              ("incident_id", "timestamp_iso8601", "gx", "gy"))]
+    t0 = min((ts for ts, _cell_id in rows), default=None)
+    return [(cell, seconds_to_ms((ts - t0).total_seconds())) for ts, cell in rows]
+
+
+def load_failure_schedule(path) -> list[FailureEvent]:
+    """Read agent_id,start_time_s,duration_s rows. A bad row raises a
+    ConfigError naming the file, the row and the key (see _rows)."""
+    def ms(seconds):
+        return seconds_to_ms(float(seconds))
+    return [FailureEvent(read("agent_id", int, "an integer"),
+                         read("start_time_s", ms, "a number"),
+                         read("duration_s", ms, "a number of seconds that "
+                              "rounds to 1 ms or more", lambda d: d > 0))
+            for read in _rows(path, "failure",
+                              ("agent_id", "start_time_s", "duration_s"))]
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     cfg.validate()
     cells = make_grid(cfg.grid_width, cfg.grid_height, cfg.cell_size_miles)
-    depots = resolve_depots(load_depots(_resolve(cfg, cfg.depot_file)),
-                            cfg.grid_width, cfg.grid_height)
+    depots = load_depot_file(_resolve(cfg, cfg.depot_file), cfg.grid_width,
+                             cfg.grid_height)
     if cfg.num_agents > sum(d.capacity for d in depots):
         raise ConfigError("num_agents: exceeds total depot capacity")
+    if cfg.num_regions > len(depots):
+        raise ConfigError(f"num_regions: {cfg.num_regions} exceeds the "
+                          f"{len(depots)} depots (every region needs one)")
     rates = _build_rates(cfg, len(cells), cfg.grid_width)
     partition = partition_regions(cells, rates, depots, cfg.num_regions,
                                   cfg.partition_seed)

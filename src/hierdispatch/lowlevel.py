@@ -486,11 +486,14 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
     return MCTSResult(scores=scores, root=tree.root, iterations=params.iterations)
 
 
-def _search_task(task, world: World, params: MCTSParams):
-    """One tree of a decision: its root actions' scores, in root order."""
-    rs, chain, choices = task
-    return list(mcts_search(rs, chain, world, params,
-                            root_choices=choices).scores.items())
+def _search(rs: RegionState, chain: IncidentChain, world: World,
+            params: MCTSParams, choices: dict) -> dict:
+    """One tree's root action scores. choices holds root choices by region,
+    shared by the region's trees; a missing region's are worked out."""
+    if rs.region not in choices:
+        choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
+    return mcts_search(rs, chain, world, params,
+                       root_choices=choices[rs.region]).scores
 
 
 def _claims(counter, order: list[int]):
@@ -517,18 +520,12 @@ def _helper(conn, counter, world: World, inherited) -> None:
             tasks, order, params = pickle.loads(conn.recv_bytes())
         except EOFError:
             return
-        # root choices by region, worked out here once per region: cheaper
-        # than pickling them (up to thousands of depot tuples)
+        # root choices are worked out here, once per region: cheaper than
+        # pickling them (up to thousands of depot tuples)
         choices = {}
         try:
-            done = []
-            for i in _claims(counter, order):
-                rs, chain = tasks[i]
-                if rs.region not in choices:
-                    choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
-                done.append((i, _search_task((rs, chain, choices[rs.region]),
-                                             world, params)))
-            reply = ("ok", done)
+            reply = ("ok", [(i, _search(*tasks[i], world, params, choices))
+                            for i in _claims(counter, order)])
         except Exception as exc:  # noqa: BLE001 - re-raised by the caller
             tb = traceback.format_exc()
             try:
@@ -547,10 +544,8 @@ def helper_count(max_tasks: int) -> int:
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         return 0
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     return max(0, min(cores, max_tasks) - 1)
 
 
@@ -560,88 +555,73 @@ class TreePool:
     Root parallelisation: every tree is independent. The caller and each
     helper take task indices from one shared counter until it passes the
     end, and results are placed by index, so what a decision returns does
-    not depend on which process ran a tree. Helpers fork on the first run
-    with 2 or more tasks and inherit world; only the tasks are pickled. A
-    process that has other threads forks none and runs every tree itself.
+    not depend on which process ran a tree. The helpers fork when the
+    pool is made and inherit world; only the tasks are pickled. A process
+    that has other threads forks none and runs every tree itself.
     """
-
-    POLL_S = 0.05
 
     def __init__(self, world: World, helpers: int):
         self.world = world
-        self.helpers = helpers
         self._workers: list = []  # (process, connection)
-        self._next = None
-
-    def _start(self) -> None:
+        if helpers < 1 or threading.active_count() > 1:
+            return  # forking a process that has threads is unsafe
         import multiprocessing  # see helper_count
         ctx = multiprocessing.get_context("fork")
         self._next = ctx.Value("i", 0)
-        for _ in range(self.helpers):
-            mine, theirs = ctx.Pipe()
-            inherited = [conn for _proc, conn in self._workers] + [mine]
-            proc = ctx.Process(target=_helper, daemon=True,
-                               args=(theirs, self._next, self.world, inherited))
-            proc.start()
-            theirs.close()
-            self._workers.append((proc, mine))
-
-    def _receive(self, proc, conn):
-        while not conn.poll(self.POLL_S):
-            if not proc.is_alive() and not conn.poll(0):
-                break
         try:
-            reply = conn.recv()
-        except (EOFError, OSError):
-            proc.join(1.0)
-            raise RuntimeError(f"search helper {proc.pid} died with exit "
-                               f"code {proc.exitcode}") from None
-        if reply[0] == "error":
-            _tag, exc, tb = reply
-            raise exc from RuntimeError(f"in search helper {proc.pid}:\n{tb}")
-        return reply[1]
+            for _ in range(helpers):
+                mine, theirs = ctx.Pipe()
+                inherited = [conn for _proc, conn in self._workers] + [mine]
+                proc = ctx.Process(target=_helper, daemon=True,
+                                   args=(theirs, self._next, world, inherited))
+                proc.start()
+                theirs.close()  # so a dead helper reads as EOF here
+                self._workers.append((proc, mine))
+        except BaseException:
+            self.close()
+            raise
 
-    def run(self, tasks, params: MCTSParams) -> list:
-        """Each task's (action, score) list, in task order."""
-        if len(tasks) >= 2 and not self._workers and threading.active_count() > 1:
-            self.helpers = 0  # forking a process that has threads is unsafe
-        if self.helpers < 1 or len(tasks) < 2:
-            return [_search_task(t, self.world, params) for t in tasks]
+    def run(self, tasks, params: MCTSParams, choices: dict) -> list:
+        """Each (region state, chain) task's scores, in task order; choices
+        is the decision's root choices by region (see _search)."""
+        if not self._workers or len(tasks) < 2:
+            return [_search(*task, self.world, params, choices) for task in tasks]
         try:
-            if not self._workers:
-                self._start()
             self._next.value = 0  # helpers wait on their pipe: no one claims
             # the costliest trees first (incidents x agents predicts a
             # tree's time), so that no process ends on a long one alone
             order = sorted(range(len(tasks)), key=lambda i: -len(
                 tasks[i][1].incidents) * len(tasks[i][0].state.agents))
-            payload = pickle.dumps(([(rs, chain) for rs, chain, _c in tasks],
-                                    order, params), pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps((tasks, order, params), pickle.HIGHEST_PROTOCOL)
             for _proc, conn in self._workers:
                 conn.send_bytes(payload)
             results = [None] * len(tasks)
             for i in _claims(self._next, order):
-                results[i] = _search_task(tasks[i], self.world, params)
+                results[i] = _search(*tasks[i], self.world, params, choices)
             for proc, conn in self._workers:
-                for i, scores in self._receive(proc, conn):
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"search helper {proc.pid} died with "
+                                       f"exit code {proc.exitcode}") from None
+                if reply[0] == "error":
+                    _tag, exc, tb = reply
+                    raise exc from RuntimeError(f"in search helper {proc.pid}:\n{tb}")
+                for i, scores in reply[1]:
                     results[i] = scores
             return results
         except BaseException:
-            self.close(kill=True)  # helpers may be mid-tree
+            self.close()  # helpers may be mid-tree
             raise
 
-    def close(self, kill: bool = False) -> None:
-        """Stop every helper; the pool forks new ones if run again."""
+    def close(self) -> None:
+        """Stop every helper; later runs take place in this process."""
         workers, self._workers = self._workers, []
         for proc, conn in workers:
-            conn.close()  # EOF ends an idle helper's loop
-            if kill:
-                proc.kill()
-        for proc, _conn in workers:
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
+            conn.close()
+            proc.kill()
+            proc.join()
 
 
 @dataclass
@@ -677,12 +657,15 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if pool is not None and pool.world is not world:
+    if pool is None:
+        pool = TreePool(world, 0)
+    elif pool.world is not world:
         raise ValueError("the pool was made for another world")
     if regions is None:
         regions = world.partition.regions()
     plans: dict[int, RegionPlan] = {}
     tasks = []
+    choices = {}  # region -> its root choices, shared by its trees
     for region in sorted(regions):
         rs = decompose(state, region, world)
         plan = RegionPlan(region=region, action=None)
@@ -691,8 +674,8 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
             continue
         if params.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        choices = _joint_choices(rs, params.max_joint_actions)
-        single = choices is not None and len(choices[1]) == 1
+        choices[region] = _joint_choices(rs, params.max_joint_actions)
+        single = choices[region] is not None and len(choices[region][1]) == 1
         restricted = model.restrict(world.partition.cells_of(region))
         for i in range(n_samples):
             chain_seed = np.random.SeedSequence(entropy=seed,
@@ -702,18 +685,14 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
             if not _in_window(chain, state.clock_ms, params.horizon_ms):
                 continue
             if single:
-                ids, (depots,) = choices
+                ids, (depots,) = choices[region]
                 plan.action = AllocationAction(tuple(zip(ids, depots)))
                 break
-            tasks.append((rs, chain, choices))
-    if pool is None:
-        results = [_search_task(task, world, params) for task in tasks]
-    else:
-        results = pool.run(tasks, params)
-    for (rs, _chain, _choices), scores in zip(tasks, results):
-        for action, score in scores:
+            tasks.append((rs, chain))
+    for (rs, _chain), scores in zip(tasks, pool.run(tasks, params, choices)):
+        for action, score in scores.items():
             plans[rs.region].score_map.add(action, score)
-    for rs in {rs.region: rs for rs, _chain, _choices in tasks}.values():
+    for rs in {rs.region: rs for rs, _chain in tasks}.values():
         plan = plans[rs.region]
         means = plan.score_map.means()
         if not means:

@@ -8,7 +8,6 @@ centroids; every depot belongs to the region of its containing cell.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -189,38 +188,6 @@ def partition_regions(cells: list[Cell], weights, depots: list[Depot],
     return RegionPartition(k=k, cell_to_region=cell_to_region,
                            region_depots=region_depots, region_rate=region_rate,
                            region_slots=region_slots)
-
-
-def load_depots(path) -> list[tuple[int, int, int, int]]:
-    """Read a depot table: depot_id,gx,gy,capacity.
-
-    Returns (depot_id, gx, gy, capacity) tuples; use
-    :func:`resolve_depots` to bind them to a grid's cells.
-    """
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        required = {"depot_id", "gx", "gy", "capacity"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"depot file {path}: expected columns {sorted(required)}")
-        for row in reader:
-            rows.append((int(row["depot_id"]), int(row["gx"]), int(row["gy"]),
-                         int(row["capacity"])))
-    return rows
-
-
-def resolve_depots(rows, width: int, height: int) -> list[Depot]:
-    """Bind (depot_id, gx, gy, capacity) rows to row-major cell ids."""
-    depots = []
-    seen = set()
-    for depot_id, gx, gy, capacity in rows:
-        if not (0 <= gx < width and 0 <= gy < height):
-            raise ValueError(f"depot {depot_id}: cell ({gx},{gy}) outside grid")
-        if depot_id in seen:
-            raise ValueError(f"duplicate depot id {depot_id}")
-        seen.add(depot_id)
-        depots.append(Depot(id=depot_id, cell=gy * width + gx, capacity=capacity))
-    return depots
 
 
 @dataclass

@@ -1,10 +1,22 @@
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
 from hierdispatch import (Agent, AgentStatus, Depot, SystemState, TravelModel,
                           World, make_grid, partition_regions)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves an extra thread alive: while one runs, every
+    later tree pool would fork no helper and run in one process."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"{len(leaked)} thread(s) still alive: {leaked}")
 
 
 @pytest.fixture(autouse=True)

@@ -170,7 +170,7 @@ class TestRegionRates:
 
 class TestHistoryFile:
     def test_load_and_fit(self, tmp_path):
-        from hierdispatch.demand import load_history
+        from hierdispatch.harness import load_history
         path = tmp_path / "history.csv"
         path.write_text(
             "incident_id,timestamp_iso8601,gx,gy\n"
@@ -185,9 +185,9 @@ class TestHistoryFile:
         assert model.rates[9] == pytest.approx(1 / 6)
 
     def test_rejects_out_of_grid(self, tmp_path):
-        from hierdispatch.demand import load_history
+        from hierdispatch.harness import load_history
         path = tmp_path / "history.csv"
         path.write_text("incident_id,timestamp_iso8601,gx,gy\n"
                         "0,2024-01-01T00:00:00,9,0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"row 1: gx '9'"):
             load_history(path, width=5, height=2)

@@ -175,9 +175,47 @@ class TestScenario:
         hist = tmp_path / "history.csv"
         hist.write_text("incident_id,timestamp_iso8601,gx,gy\n"
                         "0,2024-01-01T00:00:00,1,1\n")
+        with pytest.raises(ConfigError, match="history_horizon_hours: required"):
+            tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
+                        history_file=str(hist))
+
+    @pytest.mark.parametrize("row, key", [
+        ("1,4,1,x", "capacity"),        # not an integer
+        ("1,4,1,0", "capacity"),        # below 1
+        ("1,6,1,1", "gx"),              # outside the 6x6 grid
+        ("0,4,1,1", "depot_id"),        # the id of row 1
+    ])
+    def test_depot_file_bad_row_named(self, tmp_path, row, key):
+        cfg = tiny_config(tmp_path)
+        with open(cfg.depot_file, "w") as f:
+            f.write(f"depot_id,gx,gy,capacity\n0,1,1,2\n{row}\n2,1,4,1\n")
+        with pytest.raises(ConfigError, match=rf"depots.csv row 2: {key}"):
+            build_scenario(cfg)
+
+    def test_more_regions_than_depots_named(self, tmp_path):
+        cfg = tiny_config(tmp_path, num_regions=5)
+        with pytest.raises(ConfigError, match=r"num_regions: 5 exceeds the 4 depots"):
+            build_scenario(cfg)
+
+    def test_history_horizon_must_be_positive(self, tmp_path):
+        hist = tmp_path / "history.csv"
+        hist.write_text("incident_id,timestamp_iso8601,gx,gy\n"
+                        "0,2024-01-01T00:00:00,1,1\n")
+        with pytest.raises(ConfigError, match="history_horizon_hours: must be positive"):
+            tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
+                        history_file=str(hist), history_horizon_hours=-1)
+
+    @pytest.mark.parametrize("row, key", [
+        ("1,noon,1,1", "timestamp_iso8601"),
+        ("1,2024-01-01T01:00:00,1,6", "gy"),
+    ])
+    def test_history_file_bad_row_named(self, tmp_path, row, key):
+        hist = tmp_path / "history.csv"
+        hist.write_text(f"incident_id,timestamp_iso8601,gx,gy\n"
+                        f"0,2024-01-01T00:00:00,1,1\n{row}\n")
         cfg = tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
-                          history_file=str(hist))
-        with pytest.raises(ConfigError, match="history_horizon_hours"):
+                          history_file=str(hist), history_horizon_hours=12.0)
+        with pytest.raises(ConfigError, match=rf"history.csv row 2: {key}"):
             build_scenario(cfg)
 
     def test_failure_agent_must_exist(self, tmp_path):

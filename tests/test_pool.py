@@ -71,23 +71,40 @@ def test_pool_plan_equals_in_process_plan(case):
 def test_pool_of_another_world_rejected():
     world = build_world()
     state = fresh_state(world, [0])
-    with pytest.raises(ValueError, match="world"):
+    with pool_for(build_world()) as pool, pytest.raises(ValueError, match="world"):
         plan_region_allocations(state, world, DemandModel(rates=np.ones(10)),
-                                MCTSParams(iterations=4), 2, 0,
-                                pool=TreePool(build_world(), 1))
+                                MCTSParams(iterations=4), 2, 0, pool=pool)
 
 
 @pytest.fixture
 def starts(monkeypatch):
-    """The number of times any pool forked its helpers."""
+    """The number of helpers of each pool that forked any."""
     calls = []
-    start = TreePool._start
+    init = TreePool.__init__
 
-    def counted(self):
-        calls.append(self.helpers)
-        return start(self)
-    monkeypatch.setattr(TreePool, "_start", counted)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._workers:
+            calls.append(len(self._workers))
+    monkeypatch.setattr(TreePool, "__init__", counted)
     return calls
+
+
+def test_failed_fork_stops_the_helpers_already_forked(monkeypatch):
+    forked = []
+    start = multiprocessing.get_context("fork").Process.start
+
+    def second_fails(self):
+        if forked:
+            raise OSError("fork failed")
+        forked.append(self)
+        start(self)
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start",
+                        second_fails)
+    with deadline(BOUND_S), pytest.raises(OSError, match="fork failed"):
+        TreePool(build_world(), 2)
+    assert len(forked) == 1 and forked[0].exitcode is not None
+    assert multiprocessing.active_children() == []
 
 
 def test_incident_files_identical_with_and_without_a_helper(tmp_path, monkeypatch,

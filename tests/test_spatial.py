@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hierdispatch import Depot, TravelModel, make_grid, partition_regions
-from hierdispatch.spatial import load_depots, resolve_depots
+from hierdispatch.harness import ConfigError, load_depot_file
 
 from oracles import brute_force_two_partitions
 
@@ -128,18 +128,18 @@ class TestDepotFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "depots.csv"
         path.write_text("depot_id,gx,gy,capacity\n0,2,3,1\n1,5,0,2\n")
-        depots = resolve_depots(load_depots(path), width=6, height=4)
+        depots = load_depot_file(path, width=6, height=4)
         assert depots[0].cell == 3 * 6 + 2
         assert depots[1].capacity == 2
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "depots.csv"
         path.write_text("depot_id,gx,gy\n0,2,3\n")
-        with pytest.raises(ValueError):
-            load_depots(path)
+        with pytest.raises(ConfigError, match="expected columns"):
+            load_depot_file(path, width=6, height=4)
 
     def test_out_of_grid(self, tmp_path):
         path = tmp_path / "depots.csv"
         path.write_text("depot_id,gx,gy,capacity\n0,9,0,1\n")
-        with pytest.raises(ValueError):
-            resolve_depots(load_depots(path), width=6, height=4)
+        with pytest.raises(ConfigError, match=r"row 1: gx '9'"):
+            load_depot_file(path, width=6, height=4)
