@@ -151,7 +151,8 @@ class Coordinator:
         self.seed = seed
         self.trace = trace
         self._decision_index = 0
-        self._pool = None  # set while run() plans with helper processes
+        self._pool = None  # set while run() plans
+        self._rates = {}  # spike phase -> region rates (see _region_rates)
 
     # -- event helpers -------------------------------------------------
     def _push(self, heap, time_ms, kind, payload_id, payload=None):
@@ -188,8 +189,16 @@ class Coordinator:
                 caps[a.region] -= 1  # parked failed agent holds a slot
         return caps
 
+    def _region_rates(self, t_ms: int) -> dict[int, float]:
+        """region_rates_at(model, partition, t_ms), once per spike phase:
+        they depend on t_ms only through which spike windows contain it."""
+        phase = tuple(w.start_ms <= t_ms < w.end_ms for w in self.model.spikes)
+        if phase not in self._rates:
+            self._rates[phase] = region_rates_at(self.model, self.world.partition, t_ms)
+        return self._rates[phase]
+
     def _instability(self, state: SystemState) -> bool:
-        rates = region_rates_at(self.model, self.world.partition, state.clock_ms)
+        rates = self._region_rates(state.clock_ms)
         counts = self._available_counts(state)
         eta = self.planner.eta_per_hour
         for r, rate in rates.items():
@@ -201,7 +210,7 @@ class Coordinator:
         return False
 
     def _run_high_level(self, state: SystemState, result: RunResult) -> None:
-        rates = region_rates_at(self.model, self.world.partition, state.clock_ms)
+        rates = self._region_rates(state.clock_ms)
         counts = self._available_counts(state)
         total = sum(counts.values())
         if total < 1:
@@ -258,17 +267,15 @@ class Coordinator:
         observer(coordinator, state, kind) is called after each processed
         event, once the coordinator has finished acting on it.
 
-        With a planner, a decision's search trees also run in helper
-        processes, one fewer than the usable cores (see
-        lowlevel.helper_count); they fork when this starts and are stopped
-        before it returns or raises.
+        With a planner, the run owns a lowlevel.TreePool. A decision's
+        search trees also run in its helper processes, one fewer than the
+        usable cores (see lowlevel.helper_count); they fork when this
+        starts and are stopped before it returns or raises.
         """
-        helpers = 0
-        if self.mode is not PolicyMode.BASELINE_STATIC:
-            helpers = helper_count(self.planner.n_samples
-                                   * len(self.world.partition.regions()))
         try:
-            self._pool = TreePool(self.world, helpers) if helpers else None
+            if self.mode is not PolicyMode.BASELINE_STATIC:
+                self._pool = TreePool(self.world, self.model, helper_count(
+                    self.planner.n_samples * len(self.world.partition.regions())))
             return self._run(state, chain, horizon_ms, failures, observer)
         finally:
             if self._pool is not None:

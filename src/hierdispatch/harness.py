@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime
 
 import numpy as np
@@ -84,6 +85,18 @@ class ScenarioConfig:
         def need(cond, name, msg):
             if not cond:
                 raise ConfigError(f"{name}: {msg}")
+        def number(t, kind=numbers.Real):  # of type t; a bool is no number here
+            return issubclass(t, kind) and t is not bool
+        for f in fields(self):  # types first: the checks below compare
+            value = getattr(self, f.name)
+            if f.type == "int" and not number(type(value), numbers.Integral):
+                raise ConfigError(f"{f.name}: must be an integer, not {value!r}")
+            if (f.type.startswith("float") and not number(type(value))
+                    and not (value is None and "None" in f.type)):
+                raise ConfigError(f"{f.name}: must be a number, not {value!r}")
+        need(isinstance(self.seeds, list)  # each type once: seeds can be many
+             and all(number(t, numbers.Integral) for t in set(map(type, self.seeds))),
+             "seeds", "must be a list of integers")
         need(self.grid_width >= 1, "grid_width", "must be >= 1")
         need(self.grid_height >= 1, "grid_height", "must be >= 1")
         need(self.cell_size_miles > 0, "cell_size_miles", "must be positive")
@@ -312,11 +325,15 @@ def load_depot_file(path, width: int, height: int) -> list[Depot]:
 def load_history(path, width: int, height: int) -> list[tuple[int, int]]:
     """Read incident_id,timestamp_iso8601,gx,gy rows into (cell, ms) pairs,
     timestamps measured from the earliest record. A bad row raises a
-    ConfigError naming the file, the row and the key (see _rows)."""
-    rows = [(read("timestamp_iso8601", datetime.fromisoformat, "an ISO 8601 time"),
-             _cell(read, width, height))
-            for read in _rows(path, "history",
-                              ("incident_id", "timestamp_iso8601", "gx", "gy"))]
+    ConfigError naming the file, the row and the key (see _rows); so does
+    a UTC offset where row 1 has none, or the reverse (no order exists)."""
+    rows, aware = [], None  # aware: row 1's timestamp has a UTC offset
+    for read in _rows(path, "history", ("incident_id", "timestamp_iso8601", "gx", "gy")):
+        ts = read("timestamp_iso8601", datetime.fromisoformat, "an ISO 8601 "
+                  "time, with a UTC offset if and only if row 1 has one",
+                  lambda t: aware in (None, t.utcoffset() is not None))
+        aware = ts.utcoffset() is not None
+        rows.append((ts, _cell(read, width, height)))
     t0 = min((ts for ts, _cell_id in rows), default=None)
     return [(cell, seconds_to_ms((ts - t0).total_seconds())) for ts, cell in rows]
 

@@ -98,26 +98,32 @@ def _free_slots(rs: RegionState, idle_ids: set[int]) -> dict[int, int]:
     return slots
 
 
-def _joint_choices(rs: RegionState, max_joint: int):
-    """The region's joint allocations as (agent ids, depot tuples): action
-    i is AllocationAction(tuple(zip(ids, depot_tuples[i]))).
-
-    None when the joint count would exceed max_joint; ((), [()]), which
-    is PASS, when there is nothing to decide.
-    """
+def _joint_slots(rs: RegionState, max_joint: int):
+    """(idle agent ids, {depot: free slots > 0}) of the region's joint
+    allocations; None when their count would exceed max_joint, and
+    ((), {}), PASS alone, when there is nothing to decide."""
     idle = sorted(a.id for a in rs.state.idle_agents())
-    if not idle:
-        return (), [()]
-    slots = _free_slots(rs, set(idle))
+    slots = _free_slots(rs, set(idle)) if idle else {}
     free = sum(slots.values())
-    if free < len(idle):
-        return (), [()]  # no feasible reshuffle; leave assignments alone
+    if not idle or free < len(idle):
+        return (), {}  # nothing to reshuffle; leave assignments alone
     if math.perm(free, len(idle)) > max_joint:
         return None
+    return tuple(idle), {d: n for d, n in slots.items() if n > 0}
+
+
+def _joint_choices(rs: RegionState, max_joint: int):
+    """The region's joint allocations as (agent ids, depot tuples): action
+    i is AllocationAction(tuple(zip(ids, depot_tuples[i]))). None where
+    _joint_slots gives None, and ((), [()]), PASS, where it gives PASS."""
+    joint = _joint_slots(rs, max_joint)
+    if joint is None:
+        return None
+    idle, slots = joint
     # k-permutations of the free slots come out in lexicographic order of
     # depot ids; a depot with several free slots repeats a tuple, kept once
     slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
-    return tuple(idle), list(dict.fromkeys(itertools.permutations(slot_list, len(idle))))
+    return idle, list(dict.fromkeys(itertools.permutations(slot_list, len(idle))))
 
 
 def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
@@ -219,14 +225,16 @@ def rollout(rs: RegionState, chain_tail: IncidentChain, horizon_ms: int,
 
 
 class SearchNode:
-    """One decision epoch (or one per-agent assignment level) in the tree."""
+    """One decision epoch (or one per-agent assignment level) in the tree.
+    Nodes link only to their children: a dropped tree holds no reference
+    cycle, so reference counting frees it at once."""
 
     __slots__ = ("state", "chain_pos", "cost_from_root", "visits", "utility_sum",
-                 "children", "untried", "parent", "terminal", "to_assign",
-                 "partial", "idle_ids", "tail")
+                 "children", "untried", "terminal", "to_assign", "partial",
+                 "idle_ids", "tail")
 
-    def __init__(self, state, chain_pos, cost_from_root, parent=None,
-                 terminal=False, to_assign=None, partial=()):
+    def __init__(self, state, chain_pos, cost_from_root, terminal=False,
+                 to_assign=None, partial=()):
         self.state = state
         self.chain_pos = chain_pos
         self.cost_from_root = cost_from_root
@@ -237,7 +245,6 @@ class SearchNode:
         # joint actions for idle_ids, or per-agent (agent, depot) pairs
         self.untried = None
         self.idle_ids = ()
-        self.parent = parent
         self.terminal = terminal
         self.to_assign = to_assign  # set on per-agent decomposition levels
         self.partial = partial
@@ -333,8 +340,7 @@ class _Tree:
         cost, pos, done = _play(state, self.incidents, node.chain_pos, self.world,
                                 self.params.discount, self.t0, self.end_ms,
                                 stop_after_incident=True)
-        child = SearchNode(state, pos, node.cost_from_root + cost,
-                           parent=node, terminal=done)
+        child = SearchNode(state, pos, node.cost_from_root + cost, terminal=done)
         node.children[key] = child
         return child
 
@@ -347,7 +353,7 @@ class _Tree:
         if len(partial) == len(node.to_assign):
             return self._make_epoch_child(node, action, partial)
         child = SearchNode(node.state, node.chain_pos, node.cost_from_root,
-                           parent=node, to_assign=node.to_assign, partial=partial)
+                           to_assign=node.to_assign, partial=partial)
         node.children[action] = child
         return child
 
@@ -412,6 +418,7 @@ class _Tree:
     def run(self, iterations: int) -> None:
         for _ in range(iterations):
             node = self.root
+            path = [node]
             while True:
                 if node.terminal and node.to_assign is None:
                     break
@@ -419,17 +426,18 @@ class _Tree:
                     self._init_actions(node)
                 if node.untried:
                     node = self._expand(node)
+                    path.append(node)
                     break
                 if not node.children:
                     break
                 node = self._select(node)
+                path.append(node)
             total = self._evaluate(node)
             self.cost_lo = min(self.cost_lo, total)
             self.cost_hi = max(self.cost_hi, total)
-            while node is not None:
+            for node in path:
                 node.visits += 1
                 node.utility_sum -= total
-                node = node.parent
 
     def best_descent(self) -> AllocationAction:
         """Complete assignment along best mean-cost children (decomposed mode).
@@ -486,14 +494,13 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
     return MCTSResult(scores=scores, root=tree.root, iterations=params.iterations)
 
 
-def _search(rs: RegionState, chain: IncidentChain, world: World,
-            params: MCTSParams, choices: dict) -> dict:
-    """One tree's root action scores. choices holds root choices by region,
-    shared by the region's trees; a missing region's are worked out."""
-    if rs.region not in choices:
-        choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
-    return mcts_search(rs, chain, world, params,
-                       root_choices=choices[rs.region]).scores
+def _region_chain(restricted: DemandModel, rs: RegionState, i: int, seed,
+                  horizon_ms: int) -> IncidentChain | None:
+    """Chain i of rs's region, sampled from the region's restricted model;
+    None when no incident of it falls in [clock, clock + horizon)."""
+    chain = sample_chain(restricted, horizon_ms, np.random.SeedSequence(
+        entropy=seed, spawn_key=(rs.region, i)), start_ms=rs.state.clock_ms)
+    return chain if _in_window(chain, rs.state.clock_ms, horizon_ms) else None
 
 
 def _claims(counter, order: list[int]):
@@ -508,24 +515,24 @@ def _claims(counter, order: list[int]):
         yield order[k]
 
 
-def _helper(conn, counter, world: World, inherited) -> None:
-    """A helper's loop: take a decision's (region state, chain) list, claim
-    and run trees, send back (index, scores) pairs or the exception a tree
-    raised."""
+def _helper(conn, counter, pool: TreePool, inherited) -> None:
+    """A helper's loop: take a decision's (region state, sample index)
+    list, claim and run trees, send back (index, scores) pairs or the
+    exception a tree raised."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     for other in inherited:  # so a dead caller reads as EOF here
         other.close()
     while True:
         try:
-            tasks, order, params = pickle.loads(conn.recv_bytes())
+            tasks, order, params, seed = pickle.loads(conn.recv_bytes())
         except EOFError:
             return
         # root choices are worked out here, once per region: cheaper than
         # pickling them (up to thousands of depot tuples)
         choices = {}
         try:
-            reply = ("ok", [(i, _search(*tasks[i], world, params, choices))
-                            for i in _claims(counter, order)])
+            reply = ("ok", [(k, pool._search(*tasks[k], seed, params, choices))
+                            for k in _claims(counter, order)])
         except Exception as exc:  # noqa: BLE001 - re-raised by the caller
             tb = traceback.format_exc()
             try:
@@ -552,16 +559,22 @@ def helper_count(max_tasks: int) -> int:
 class TreePool:
     """Runs a decision's search trees on the caller and forked helpers.
 
-    Root parallelisation: every tree is independent. The caller and each
-    helper take task indices from one shared counter until it passes the
-    end, and results are placed by index, so what a decision returns does
-    not depend on which process ran a tree. The helpers fork when the
-    pool is made and inherit world; only the tasks are pickled. A process
-    that has other threads forks none and runs every tree itself.
+    Root parallelisation: every tree is independent. A task is (region
+    state, sample index), and the process that claims it samples that
+    chain and searches it. The caller and each helper take task indices
+    from one shared counter until it passes the end, and results are
+    placed by index, so what a decision returns does not depend on which
+    process ran a tree. A pool serves one world and one demand model,
+    restricted to each region once; the helpers fork when the pool is
+    made and inherit both, so only the tasks are pickled. A process that
+    has other threads forks none and runs every tree itself.
     """
 
-    def __init__(self, world: World, helpers: int):
+    def __init__(self, world: World, model: DemandModel, helpers: int):
         self.world = world
+        self.model = model
+        self.restricted = {r: model.restrict(world.partition.cells_of(r))
+                           for r in world.partition.regions()}
         self._workers: list = []  # (process, connection)
         if helpers < 1 or threading.active_count() > 1:
             return  # forking a process that has threads is unsafe
@@ -573,7 +586,7 @@ class TreePool:
                 mine, theirs = ctx.Pipe()
                 inherited = [conn for _proc, conn in self._workers] + [mine]
                 proc = ctx.Process(target=_helper, daemon=True,
-                                   args=(theirs, self._next, world, inherited))
+                                   args=(theirs, self._next, self, inherited))
                 proc.start()
                 theirs.close()  # so a dead helper reads as EOF here
                 self._workers.append((proc, mine))
@@ -581,23 +594,40 @@ class TreePool:
             self.close()
             raise
 
-    def run(self, tasks, params: MCTSParams, choices: dict) -> list:
-        """Each (region state, chain) task's scores, in task order; choices
-        is the decision's root choices by region (see _search)."""
+    def _search(self, rs: RegionState, i: int, seed, params: MCTSParams,
+                choices: dict) -> dict:
+        """The scores of the tree on rs's chain i, {} when its root is
+        terminal. choices holds root choices by region, worked out on
+        first use and shared by the region's trees."""
+        chain = _region_chain(self.restricted[rs.region], rs, i, seed,
+                              params.horizon_ms)
+        if chain is None:
+            return {}
+        if rs.region not in choices:
+            choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
+        return mcts_search(rs, chain, self.world, params,
+                           root_choices=choices[rs.region]).scores
+
+    def run(self, tasks, params: MCTSParams, seed) -> list:
+        """Each (region state, sample index) task's scores, in task order;
+        seed is the decision's chain seed (see plan_region_allocations)."""
+        choices = {}  # this process's root choices by region
         if not self._workers or len(tasks) < 2:
-            return [_search(*task, self.world, params, choices) for task in tasks]
+            return [self._search(*task, seed, params, choices) for task in tasks]
         try:
             self._next.value = 0  # helpers wait on their pipe: no one claims
-            # the costliest trees first (incidents x agents predicts a
-            # tree's time), so that no process ends on a long one alone
-            order = sorted(range(len(tasks)), key=lambda i: -len(
-                tasks[i][1].incidents) * len(tasks[i][0].state.agents))
-            payload = pickle.dumps((tasks, order, params), pickle.HIGHEST_PROTOCOL)
+            # the costliest trees first (the region's rate x its agents
+            # predicts a tree's time), so that no process ends on a long one
+            order = sorted(range(len(tasks)), key=lambda k: -float(
+                self.restricted[tasks[k][0].region].rates.sum())
+                * len(tasks[k][0].state.agents))
+            payload = pickle.dumps((tasks, order, params, seed),
+                                   pickle.HIGHEST_PROTOCOL)
             for _proc, conn in self._workers:
                 conn.send_bytes(payload)
             results = [None] * len(tasks)
-            for i in _claims(self._next, order):
-                results[i] = _search(*tasks[i], self.world, params, choices)
+            for k in _claims(self._next, order):
+                results[k] = self._search(*tasks[k], seed, params, choices)
             for proc, conn in self._workers:
                 try:
                     reply = conn.recv()
@@ -608,8 +638,8 @@ class TreePool:
                 if reply[0] == "error":
                     _tag, exc, tb = reply
                     raise exc from RuntimeError(f"in search helper {proc.pid}:\n{tb}")
-                for i, scores in reply[1]:
-                    results[i] = scores
+                for k, scores in reply[1]:
+                    results[k] = scores
             return results
         except BaseException:
             self.close()  # helpers may be mid-tree
@@ -649,23 +679,25 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     A region with a single feasible action gets it without a search: its
     chains are sampled only until one has an incident inside the horizon;
     if none has, the action is None, as every tree would have had a
-    terminal root. A chain with no incident inside the horizon gets no
-    tree for the same reason.
+    terminal root. Other regions' chains are sampled by the process that
+    runs their trees (see TreePool), and one with no incident inside the
+    horizon gets no tree for the same reason.
 
-    The trees run through pool when one is given (its world must be
-    world), in this process otherwise; the plan is the same either way.
+    The trees run through pool when one is given (made for this world and
+    model), in this process otherwise; the plan is the same either way.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if pool is None:
-        pool = TreePool(world, 0)
+        pool = TreePool(world, model, 0)
     elif pool.world is not world:
         raise ValueError("the pool was made for another world")
+    elif pool.model is not model:
+        raise ValueError("the pool was made for another model")
     if regions is None:
         regions = world.partition.regions()
     plans: dict[int, RegionPlan] = {}
     tasks = []
-    choices = {}  # region -> its root choices, shared by its trees
     for region in sorted(regions):
         rs = decompose(state, region, world)
         plan = RegionPlan(region=region, action=None)
@@ -674,25 +706,19 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
             continue
         if params.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        choices[region] = _joint_choices(rs, params.max_joint_actions)
-        single = choices[region] is not None and len(choices[region][1]) == 1
-        restricted = model.restrict(world.partition.cells_of(region))
+        joint = _joint_slots(rs, params.max_joint_actions)
+        if joint is None or len(joint[1]) > 1:  # more than one action
+            tasks.extend((rs, i) for i in range(n_samples))
+            continue
+        idle, slots = joint  # PASS, or every idle agent at the one open depot
         for i in range(n_samples):
-            chain_seed = np.random.SeedSequence(entropy=seed,
-                                                spawn_key=(region, i))
-            chain = sample_chain(restricted, params.horizon_ms, chain_seed,
-                                 start_ms=state.clock_ms)
-            if not _in_window(chain, state.clock_ms, params.horizon_ms):
-                continue
-            if single:
-                ids, (depots,) = choices[region]
-                plan.action = AllocationAction(tuple(zip(ids, depots)))
+            if _region_chain(pool.restricted[region], rs, i, seed, params.horizon_ms):
+                plan.action = AllocationAction(tuple((a, d) for a in idle for d in slots))
                 break
-            tasks.append((rs, chain))
-    for (rs, _chain), scores in zip(tasks, pool.run(tasks, params, choices)):
+    for (rs, _i), scores in zip(tasks, pool.run(tasks, params, seed)):
         for action, score in scores.items():
             plans[rs.region].score_map.add(action, score)
-    for rs in {rs.region: rs for rs, _chain in tasks}.values():
+    for rs in {rs.region: rs for rs, _i in tasks}.values():
         plan = plans[rs.region]
         means = plan.score_map.means()
         if not means:

@@ -119,6 +119,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"failures\[0\]: duration_hours"):
             tiny_config(tmp_path, failures=[failure])
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_regions", "2"),           # a quoted number in the YAML
+        ("grid_width", 6.0),
+        ("mcts_iterations", True),      # bool is an int to Python
+        ("partition_seed", None),
+        ("horizon_hours", "6"),
+        ("discount", True),             # would pass as 1
+        ("history_horizon_hours", "12"),
+        ("seeds", [1, "2"]),
+        ("seeds", 3),
+    ])
+    def test_value_of_wrong_type_named(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be"):
+            tiny_config(tmp_path, **{key: value})
+
+    def test_quoted_number_in_yaml_named(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        p = tmp_path / "quoted.yaml"
+        p.write_text(f"grid_width: 6\ngrid_height: 6\ndepot_file: {cfg.depot_file}\n"
+                     "base_rate_per_hour: 0.1\nnum_regions: \"2\"\n")
+        with pytest.raises(ConfigError, match="num_regions: must be an integer"):
+            load_config(p)
+
     def test_max_joint_actions_named(self, tmp_path):
         with pytest.raises(ConfigError, match="max_joint_actions"):
             tiny_config(tmp_path, max_joint_actions=0)
@@ -216,6 +239,20 @@ class TestScenario:
         cfg = tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
                           history_file=str(hist), history_horizon_hours=12.0)
         with pytest.raises(ConfigError, match=rf"history.csv row 2: {key}"):
+            build_scenario(cfg)
+
+    @pytest.mark.parametrize("first, second", [
+        ("2024-01-01T00:00:00+00:00", "2024-01-01T01:00:00"),
+        ("2024-01-01T00:00:00", "2024-01-01T01:00:00+02:00"),
+    ])
+    def test_history_file_mixed_offsets_named(self, tmp_path, first, second):
+        hist = tmp_path / "history.csv"
+        hist.write_text(f"incident_id,timestamp_iso8601,gx,gy\n"
+                        f"0,{first},1,1\n1,{second},1,1\n")
+        cfg = tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
+                          history_file=str(hist), history_horizon_hours=12.0)
+        with pytest.raises(ConfigError,
+                           match=r"history.csv row 2: timestamp_iso8601 .* UTC offset"):
             build_scenario(cfg)
 
     def test_failure_agent_must_exist(self, tmp_path):

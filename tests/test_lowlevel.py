@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -42,8 +43,7 @@ class TestUCB:
         tree.cost_lo, tree.cost_hi = cost_lo, cost_hi
         root = tree.root
         for key, (visits, cost) in children.items():
-            child = SearchNode(state=None, chain_pos=0, cost_from_root=0.0,
-                               parent=root)
+            child = SearchNode(state=None, chain_pos=0, cost_from_root=0.0)
             child.visits = visits
             child.utility_sum = -cost
             root.children[key] = child
@@ -288,6 +288,27 @@ class TestMCTSSearch:
         best1 = min(res1.scores, key=res1.scores.get)
         best2 = min(res2.scores, key=res2.scores.get)
         assert best1 == best2 == AllocationAction(((0, 0),))
+
+    def test_finished_tree_leaves_no_garbage(self):
+        # nodes link only to their children: dropping the result frees the
+        # whole tree by reference counting, and the cyclic collector, run
+        # with automatic collection off, finds nothing left
+        world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
+        rs = region_state(world, [0, 2])
+        c = chain(*(incident(i, (3 * i) % 10, (i + 1) * 10 * MS_PER_MINUTE)
+                    for i in range(6)))
+
+        def depth(node):
+            return 1 + max(map(depth, node.children.values()), default=0)
+        gc.collect()
+        gc.disable()
+        try:
+            res = mcts_search(rs, c, world, MCTSParams(iterations=200))
+            assert depth(res.root) >= 4
+            del res
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def expectimax_value(rs, incidents, world, params):

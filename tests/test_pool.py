@@ -15,6 +15,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 
@@ -24,7 +25,7 @@ from hierdispatch import coordinator, lowlevel
 from hierdispatch.lowlevel import TreePool, helper_count, plan_region_allocations
 
 from conftest import build_world, fresh_state
-from test_plan_reference import incident, tiny_plans
+from test_plan_reference import incident, reference, tiny_plans
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 HOUR_MS = 3_600_000
@@ -46,8 +47,8 @@ def deadline(seconds):
 
 
 @contextmanager
-def pool_for(world, helpers=1):
-    pool = TreePool(world, helpers)
+def pool_for(world, model, helpers=1):
+    pool = TreePool(world, model, helpers)
     try:
         yield pool
     finally:
@@ -59,7 +60,7 @@ def pool_for(world, helpers=1):
 def test_pool_plan_equals_in_process_plan(case):
     state, world, model, params, n_samples, seed = case
     alone = plan_region_allocations(state, world, model, params, n_samples, seed)
-    with pool_for(world) as pool:
+    with pool_for(world, model) as pool:
         pooled = plan_region_allocations(state, world, model, params,
                                          n_samples, seed, pool=pool)
     assert {r: p.action for r, p in pooled.items()} == \
@@ -71,9 +72,40 @@ def test_pool_plan_equals_in_process_plan(case):
 def test_pool_of_another_world_rejected():
     world = build_world()
     state = fresh_state(world, [0])
-    with pool_for(build_world()) as pool, pytest.raises(ValueError, match="world"):
+    model = DemandModel(rates=np.ones(10))
+    with pool_for(build_world(), model) as pool, pytest.raises(ValueError, match="world"):
+        plan_region_allocations(state, world, model, MCTSParams(iterations=4),
+                                2, 0, pool=pool)
+
+
+def test_pool_of_another_model_rejected():
+    world = build_world()
+    state = fresh_state(world, [0])
+    with pool_for(world, DemandModel(rates=np.ones(10))) as pool, \
+            pytest.raises(ValueError, match="model"):
         plan_region_allocations(state, world, DemandModel(rates=np.ones(10)),
                                 MCTSParams(iterations=4), 2, 0, pool=pool)
+
+
+def test_plans_of_two_models_on_one_world_equal_reference():
+    # a pool keeps each region's restricted model for its whole life; a
+    # second model on the same world must get its own, not the first's
+    world = build_world(depot_xy=((0, 0), (3, 0), (6, 0), (9, 0)), k=2)
+    state = fresh_state(world, [0, 1, 3])
+    params = MCTSParams(iterations=8)
+    left = np.array([3.0] * 5 + [0.0] * 5)
+    for model in (DemandModel(rates=left), DemandModel(rates=left[::-1])):
+        expected = reference(oracles.plan_region_allocations, state, world,
+                             model, params, 3, 5)
+        alone = plan_region_allocations(state, world, model, params, 3, 5)
+        with pool_for(world, model) as pool:
+            pooled = plan_region_allocations(state, world, model, params, 3, 5,
+                                             pool=pool)
+        for plans in (alone, pooled):
+            assert {r: p.action for r, p in plans.items()} == \
+                {r: p.action for r, p in expected.items()}
+        assert {r: p.score_map.scores for r, p in pooled.items()} == \
+            {r: p.score_map.scores for r, p in alone.items()}
 
 
 @pytest.fixture
@@ -102,7 +134,7 @@ def test_failed_fork_stops_the_helpers_already_forked(monkeypatch):
     monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start",
                         second_fails)
     with deadline(BOUND_S), pytest.raises(OSError, match="fork failed"):
-        TreePool(build_world(), 2)
+        TreePool(build_world(), DemandModel(rates=np.ones(10)), 2)
     assert len(forked) == 1 and forked[0].exitcode is not None
     assert multiprocessing.active_children() == []
 
@@ -155,7 +187,7 @@ def test_tree_error_in_helper_raised_in_caller(monkeypatch):
     def fail():
         raise Boom("tree failed")
     search_in_helpers(monkeypatch, fail)
-    with deadline(BOUND_S), pool_for(world) as pool:
+    with deadline(BOUND_S), pool_for(world, model) as pool:
         with pytest.raises(Boom, match="tree failed") as info:
             plan_region_allocations(state, world, model, MCTSParams(iterations=4),
                                     n_samples=4, seed=0, pool=pool)
@@ -174,7 +206,7 @@ def test_error_that_cannot_be_unpickled_still_raised(monkeypatch):
     def fail():
         raise TwoArgs("tree failed", 7)
     search_in_helpers(monkeypatch, fail)
-    with deadline(BOUND_S), pool_for(world) as pool:
+    with deadline(BOUND_S), pool_for(world, model) as pool:
         with pytest.raises(RuntimeError, match=r"TwoArgs: tree failed \(7\)"):
             plan_region_allocations(state, world, model, MCTSParams(iterations=4),
                                     n_samples=4, seed=0, pool=pool)
@@ -183,7 +215,7 @@ def test_error_that_cannot_be_unpickled_still_raised(monkeypatch):
 def test_killed_helper_raises_in_caller(monkeypatch):
     world, state, model = busy_region()
     search_in_helpers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    with deadline(BOUND_S), pool_for(world) as pool:
+    with deadline(BOUND_S), pool_for(world, model) as pool:
         with pytest.raises(RuntimeError, match=f"exit code -{signal.SIGKILL}"):
             plan_region_allocations(state, world, model, MCTSParams(iterations=4),
                                     n_samples=4, seed=0, pool=pool)
@@ -192,7 +224,7 @@ def test_killed_helper_raises_in_caller(monkeypatch):
 
 def test_pool_reused_across_decisions(starts):
     world, state, model = busy_region()
-    with pool_for(world) as pool:
+    with pool_for(world, model) as pool:
         for seed in range(3):
             alone = plan_region_allocations(state, world, model,
                                             MCTSParams(iterations=8), 3, seed)
@@ -210,7 +242,7 @@ def test_no_fork_while_another_thread_runs(starts):
     thread = threading.Thread(target=release.wait, args=(BOUND_S,))
     thread.start()
     try:
-        with pool_for(world) as pool:
+        with pool_for(world, model) as pool:
             pooled = plan_region_allocations(state, world, model,
                                              MCTSParams(iterations=8), 3, 0, pool=pool)
     finally:
