@@ -81,7 +81,11 @@ def main(argv=None) -> int:
     p_part.set_defaults(func=_cmd_partition)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # ConfigError, ChainMismatch, too few reports
+        print(f"hierdispatch: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

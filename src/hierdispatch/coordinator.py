@@ -18,6 +18,7 @@ allocation during [start, start + duration).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -61,6 +62,7 @@ _RECOVERY = EventKind.AGENT_RECOVERY
 _INCIDENT = EventKind.INCIDENT_OCCURRENCE
 _FAILURE = EventKind.AGENT_FAILURE
 _PLANNING = EventKind.PLANNING_STEP
+_GC_GEN0 = 50_000  # the collector's generation-0 threshold while a run plans
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,17 @@ class Coordinator:
         With a planner, the run owns a lowlevel.TreePool. A decision's
         search trees also run in its helper processes, one fewer than the
         usable cores (see lowlevel.helper_count); they fork when this
-        starts and are stopped before it returns or raises.
+        starts and are stopped before it returns or raises. Before the fork,
+        a planning run raises the collector's generation-0 threshold to
+        _GC_GEN0 (not a higher one, or 0) and restores the caller's when it
+        ends: search state clones would trigger passes that free nothing.
         """
+        thresholds = gc.get_threshold()
+        planning = self.mode is not PolicyMode.BASELINE_STATIC
         try:
-            if self.mode is not PolicyMode.BASELINE_STATIC:
+            if planning:
+                if 0 < thresholds[0] < _GC_GEN0:
+                    gc.set_threshold(_GC_GEN0, *thresholds[1:])
                 self._pool = TreePool(self.world, self.model, helper_count(
                     self.planner.n_samples * len(self.world.partition.regions())))
             return self._run(state, chain, horizon_ms, failures, observer)
@@ -281,6 +290,8 @@ class Coordinator:
             if self._pool is not None:
                 self._pool.close()
                 self._pool = None
+            if planning:
+                gc.set_threshold(*thresholds)
 
     def _run(self, state, chain, horizon_ms, failures, observer) -> RunResult:
         result = RunResult(records=[], planner_seconds=[], transfers=[],

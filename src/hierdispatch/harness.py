@@ -41,7 +41,7 @@ class ConfigError(ValueError):
     pass
 
 
-class ChainMismatch(Exception):
+class ChainMismatch(ValueError):
     """compare() was given reports produced from different evaluation chains."""
 
 
@@ -576,10 +576,9 @@ def _write_report_json(path, cfg: ScenarioConfig, report: MetricsReport) -> None
 
 
 def compare(report_paths, out_path=None) -> list[dict]:
-    """Paired comparison of runs over identical evaluation chains.
-
-    Raises ChainMismatch when the reports' chains differ. The first
-    report is the reference for the delta columns.
+    """One row per report: response times pooled over all its seeds, not
+    paired by seed; the first report is the reference for the delta
+    columns. Raises ChainMismatch when the reports' chains differ.
     """
     if len(report_paths) < 2:
         raise ValueError("need at least two reports to compare")

@@ -1,3 +1,4 @@
+import gc
 import io
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hierdispatch import (Coordinator, DemandModel, FailureEvent, Incident,
                           IncidentChain, MCTSParams, PlannerConfig, PolicyMode,
                           SystemState, apply_region_rebalance)
+from hierdispatch import coordinator, lowlevel
+from hierdispatch.coordinator import EventKind
 from hierdispatch.simulator import AgentStatus, dispatch
 from hierdispatch.units import MS_PER_HOUR, MS_PER_MINUTE
 
@@ -291,3 +294,75 @@ class TestDominanceInvariant:
         result = coord.run(state, chain(*incs), horizon_ms=4 * MS_PER_HOUR,
                            observer=observer)
         assert result.records
+
+
+@pytest.fixture
+def caller_gc():
+    """The caller's collector settings, put back after the test."""
+    saved = gc.get_threshold(), gc.isenabled()
+    yield
+    gc.set_threshold(*saved[0])
+    (gc.enable if saved[1] else gc.disable)()
+
+
+def gc_run(mode, observer=None):
+    """A short two-region run in mode, with two trees per decision so
+    that a helper forks where there is a second core."""
+    world = two_region_world()
+    model = DemandModel(rates=np.full(len(world.cells), 0.05))
+    coord = Coordinator(world, model, mode, planner=small_planner(n_samples=2))
+    state = fresh_state(world, [0, 2])
+    incs = [incident(i, cell=(3 * i) % 10, report_ms=i * 11 * MS_PER_MINUTE)
+            for i in range(4)]
+    return coord.run(state, chain(*incs), horizon_ms=MS_PER_HOUR,
+                     observer=observer)
+
+
+class TestCollectorSettings:
+    """A planning run raises the collector's generation-0 threshold while
+    it plans and leaves the process's settings as it found them."""
+
+    @pytest.mark.parametrize("mode", list(PolicyMode))
+    def test_settings_restored_after_run(self, caller_gc, mode):
+        gc.set_threshold(700, 11, 12)
+        seen = []
+        gc_run(mode, lambda _c, _s, _k: seen.append(gc.get_threshold()))
+        assert (gc.get_threshold(), gc.isenabled()) == ((700, 11, 12), True)
+        during = ((700, 11, 12) if mode is PolicyMode.BASELINE_STATIC
+                  else (coordinator._GC_GEN0, 11, 12))
+        assert set(seen) == {during}
+
+    @pytest.mark.parametrize("mode", list(PolicyMode))
+    def test_settings_restored_after_raise(self, caller_gc, mode):
+        gc.set_threshold(700, 11, 12)
+
+        def fail(_coord, _state, kind):
+            if kind is EventKind.INCIDENT_OCCURRENCE:  # after its decision
+                raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            gc_run(mode, fail)
+        assert (gc.get_threshold(), gc.isenabled()) == ((700, 11, 12), True)
+
+    @pytest.mark.parametrize("gen0", [0, coordinator._GC_GEN0 + 1])
+    def test_off_or_higher_threshold_untouched(self, caller_gc, gen0):
+        gc.set_threshold(gen0, 11, 12)
+        gc.disable()
+        seen = []
+        gc_run(PolicyMode.HIERARCHICAL,
+               lambda _c, _s, _k: seen.append(gc.get_threshold()))
+        assert set(seen) == {(gen0, 11, 12)}
+        assert (gc.get_threshold(), gc.isenabled()) == ((gen0, 11, 12), False)
+
+    def test_helpers_fork_under_raised_threshold(self, caller_gc, monkeypatch):
+        gc.set_threshold(700, 11, 12)
+        built = []
+        init = lowlevel.TreePool.__init__
+
+        def recording_init(pool, *args, **kwargs):
+            built.append(gc.get_threshold())
+            init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(lowlevel.TreePool, "__init__", recording_init)
+        gc_run(PolicyMode.LOW_LEVEL_ONLY)
+        assert built == [(coordinator._GC_GEN0, 11, 12)]

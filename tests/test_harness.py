@@ -478,6 +478,37 @@ class TestCLI:
         assert os.path.exists(tmp_path / "s9" / "incidents_seed9.csv")
         assert os.path.exists(tmp_path / "s9" / "trajectory_seed9.log")
 
+    def test_compare_one_report_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "base")]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", str(tmp_path / "base" / "report.json")]) == 2
+        assert capsys.readouterr().err == \
+            "hierdispatch: error: need at least two reports to compare\n"
+
+    def test_compare_other_chains_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        for seed in ("1", "2"):
+            assert cli.main(["run", "--config", str(cfg), "--seed", seed,
+                             "--out", str(tmp_path / seed)]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", str(tmp_path / "1" / "report.json"),
+                         str(tmp_path / "2" / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hierdispatch: error: ") and err.count("\n") == 1
+        assert "different chains" in err
+
+    def test_run_bad_config_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "not_a_key: 1\n")
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hierdispatch: error: unknown config keys: "
+                                "['not_a_key']\n")
+
     def test_partition_dump(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli.main(["partition", "--config", str(cfg)]) == 0
