@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError, ChainMismatch, too few reports
+    except (ValueError, OSError) as exc:  # bad config or report, missing file
         print(f"hierdispatch: error: {exc}", file=sys.stderr)
         return 2
 

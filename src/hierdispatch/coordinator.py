@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 from .demand import DemandModel, IncidentChain, region_rates_at
-from .highlevel import allocate
+from .highlevel import _utilization, allocate
 from .lowlevel import (MCTSParams, TreePool, apply_allocation, helper_count,
                        plan_region_allocations)
 from .simulator import (DispatchRecord, SystemState, advance, assign_depot,
@@ -200,16 +200,10 @@ class Coordinator:
         return self._rates[phase]
 
     def _instability(self, state: SystemState) -> bool:
-        rates = self._region_rates(state.clock_ms)
         counts = self._available_counts(state)
         eta = self.planner.eta_per_hour
-        for r, rate in rates.items():
-            if rate <= 0:
-                continue
-            x = counts[r]
-            if x == 0 or rate / (eta * x) >= 1:
-                return True
-        return False
+        return any(_utilization(rate, eta, counts[r]) >= 1
+                   for r, rate in self._region_rates(state.clock_ms).items())
 
     def _run_high_level(self, state: SystemState, result: RunResult) -> None:
         rates = self._region_rates(state.clock_ms)

@@ -86,44 +86,38 @@ def joint_action_count(num_depots: int, num_agents: int) -> int:
     return math.perm(num_depots, num_agents)
 
 
-def _free_slots(rs: RegionState, idle_ids: set[int]) -> dict[int, int]:
+def _free_slots(rs: RegionState, idle_ids: set[int],
+                partial=()) -> dict[int, int]:
     """Depot slots available to the agents being reallocated.
 
-    Agents outside the idle set (busy or failed) keep their slot reserved.
+    Agents outside the idle set (busy or failed) keep their slot reserved,
+    and so do the (agent, depot) pairs of partial, already assigned.
     """
     slots = {d.id: d.capacity for d in sorted(rs.depots, key=lambda d: d.id)}
     for a in rs.state.agents:
         if a.id not in idle_ids and a.depot in slots:
             slots[a.depot] = max(0, slots[a.depot] - 1)
+    for _aid, d in partial:
+        slots[d] -= 1
     return slots
-
-
-def _joint_slots(rs: RegionState, max_joint: int):
-    """(idle agent ids, {depot: free slots > 0}) of the region's joint
-    allocations; None when their count would exceed max_joint, and
-    ((), {}), PASS alone, when there is nothing to decide."""
-    idle = sorted(a.id for a in rs.state.idle_agents())
-    slots = _free_slots(rs, set(idle)) if idle else {}
-    free = sum(slots.values())
-    if not idle or free < len(idle):
-        return (), {}  # nothing to reshuffle; leave assignments alone
-    if math.perm(free, len(idle)) > max_joint:
-        return None
-    return tuple(idle), {d: n for d, n in slots.items() if n > 0}
 
 
 def _joint_choices(rs: RegionState, max_joint: int):
     """The region's joint allocations as (agent ids, depot tuples): action
-    i is AllocationAction(tuple(zip(ids, depot_tuples[i]))). None where
-    _joint_slots gives None, and ((), [()]), PASS, where it gives PASS."""
-    joint = _joint_slots(rs, max_joint)
-    if joint is None:
+    i is AllocationAction(tuple(zip(ids, depot_tuples[i]))). None when
+    their count would exceed max_joint, and ((), [()]), PASS alone, when
+    there is nothing to decide."""
+    idle = sorted(a.id for a in rs.state.idle_agents())
+    slots = _free_slots(rs, set(idle)) if idle else {}
+    free = sum(slots.values())
+    if not idle or free < len(idle):
+        return (), [()]  # nothing to reshuffle; leave assignments alone
+    if math.perm(free, len(idle)) > max_joint:
         return None
-    idle, slots = joint
     # k-permutations of the free slots come out in lexicographic order of
     # depot ids; a depot with several free slots repeats a tuple, kept once
     slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
-    return idle, list(dict.fromkeys(itertools.permutations(slot_list, len(idle))))
+    return tuple(idle), list(dict.fromkeys(itertools.permutations(slot_list, len(idle))))
 
 
 def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
@@ -313,10 +307,8 @@ class _Tree:
     def _init_actions(self, node: SearchNode) -> None:
         if node.to_assign is not None:
             i = len(node.partial)
-            idle_ids = set(node.to_assign)
-            slots = _free_slots(self._region_view(node.state), idle_ids)
-            for _aid, d in node.partial:
-                slots[d] -= 1
+            slots = _free_slots(self._region_view(node.state),
+                                set(node.to_assign), node.partial)
             node.untried = [(node.to_assign[i], d)
                             for d in sorted(slots) if slots[d] > 0]
             return
@@ -378,9 +370,8 @@ class _Tree:
         """Default-policy completion of a partial assignment: remaining
         agents keep their depot when its slot is still free, otherwise they
         take the first free one."""
-        slots = _free_slots(self._region_view(node.state), set(node.to_assign))
-        for _aid, d in node.partial:
-            slots[d] -= 1
+        slots = _free_slots(self._region_view(node.state), set(node.to_assign),
+                            node.partial)
         pairs = list(node.partial)
         for agent_id in node.to_assign[len(node.partial):]:
             current = node.state.agent(agent_id).depot
@@ -451,15 +442,10 @@ class _Tree:
             key, child = min(node.children.items(),
                              key=lambda kv: (kv[1].mean_cost, kv[0]))
             pairs.append(key)
-            node = child
-            if len(pairs) == len(self.root.to_assign):
-                break
-        if len(pairs) < len(self.root.to_assign):
-            probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
-                               to_assign=self.root.to_assign,
-                               partial=tuple(pairs))
-            return AllocationAction(self._complete_partial(probe))
-        return AllocationAction(tuple(pairs))
+            node = child  # the last agent's child is an epoch node
+        probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
+                           to_assign=self.root.to_assign, partial=tuple(pairs))
+        return AllocationAction(self._complete_partial(probe))
 
 
 def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
@@ -492,15 +478,6 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
                           iterations=params.iterations, decomposed=True)
     scores = {a: child.mean_cost for a, child in tree.root.children.items()}
     return MCTSResult(scores=scores, root=tree.root, iterations=params.iterations)
-
-
-def _region_chain(restricted: DemandModel, rs: RegionState, i: int, seed,
-                  horizon_ms: int) -> IncidentChain | None:
-    """Chain i of rs's region, sampled from the region's restricted model;
-    None when no incident of it falls in [clock, clock + horizon)."""
-    chain = sample_chain(restricted, horizon_ms, np.random.SeedSequence(
-        entropy=seed, spawn_key=(rs.region, i)), start_ms=rs.state.clock_ms)
-    return chain if _in_window(chain, rs.state.clock_ms, horizon_ms) else None
 
 
 def _claims(counter, order: list[int]):
@@ -560,14 +537,15 @@ class TreePool:
     """Runs a decision's search trees on the caller and forked helpers.
 
     Root parallelisation: every tree is independent. A task is (region
-    state, sample index), and the process that claims it samples that
-    chain and searches it. The caller and each helper take task indices
-    from one shared counter until it passes the end, and results are
-    placed by index, so what a decision returns does not depend on which
-    process ran a tree. A pool serves one world and one demand model,
-    restricted to each region once; the helpers fork when the pool is
-    made and inherit both, so only the tasks are pickled. A process that
-    has other threads forks none and runs every tree itself.
+    state, sample index), and the process that claims it does all of its
+    work (see _search): it samples that chain and scores it, deciding a
+    region with a single feasible action without a tree. The caller and
+    each helper take task indices from one shared counter until it passes
+    the end, and results are placed by index, so what a decision returns
+    does not depend on which process ran a task. A pool serves one world
+    and one demand model, restricted to each region once; the helpers fork
+    when the pool is made and inherit both, so only the tasks are pickled.
+    A process that has other threads forks none and runs every task itself.
     """
 
     def __init__(self, world: World, model: DemandModel, helpers: int):
@@ -596,17 +574,27 @@ class TreePool:
 
     def _search(self, rs: RegionState, i: int, seed, params: MCTSParams,
                 choices: dict) -> dict:
-        """The scores of the tree on rs's chain i, {} when its root is
-        terminal. choices holds root choices by region, worked out on
-        first use and shared by the region's trees."""
-        chain = _region_chain(self.restricted[rs.region], rs, i, seed,
-                              params.horizon_ms)
-        if chain is None:
+        """The scores of the tree on rs's chain i, sampled here from the
+        region's restricted model; {} when no incident of the chain falls in
+        [clock, clock + horizon), as every action would score alike. choices
+        holds root choices by region, worked out on first use and shared by
+        the region's trees. A root with one depot tuple (PASS included)
+        scores {that action: 0.0} without a tree: the region has no other
+        action, so that 0.0 is never compared with another score.
+        """
+        t0 = rs.state.clock_ms
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(rs.region, i))
+        chain = sample_chain(self.restricted[rs.region], params.horizon_ms, key,
+                             start_ms=t0)
+        if not _in_window(chain, t0, params.horizon_ms):
             return {}
         if rs.region not in choices:
             choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
+        root = choices[rs.region]
+        if root is not None and len(root[1]) == 1:
+            return {AllocationAction(tuple(zip(root[0], root[1][0]))): 0.0}
         return mcts_search(rs, chain, self.world, params,
-                           root_choices=choices[rs.region]).scores
+                           root_choices=root).scores
 
     def run(self, tasks, params: MCTSParams, seed) -> list:
         """Each (region state, sample index) task's scores, in task order;
@@ -676,12 +664,11 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     added travel, then the lexicographically smallest assignment. Regions
     with no idle agents get action None.
 
-    A region with a single feasible action gets it without a search: its
-    chains are sampled only until one has an incident inside the horizon;
-    if none has, the action is None, as every tree would have had a
-    terminal root. Other regions' chains are sampled by the process that
-    runs their trees (see TreePool), and one with no incident inside the
-    horizon gets no tree for the same reason.
+    Every region with idle agents becomes n_samples (region state, sample
+    index) tasks, and TreePool._search does each task's work: it samples
+    the chain, skips a chain with no incident inside the horizon, and
+    decides a region with a single feasible action without a tree. A
+    region none of whose chains has such an incident gets action None.
 
     The trees run through pool when one is given (made for this world and
     model), in this process otherwise; the plan is the same either way.
@@ -700,21 +687,12 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     tasks = []
     for region in sorted(regions):
         rs = decompose(state, region, world)
-        plan = RegionPlan(region=region, action=None)
-        plans[region] = plan
+        plans[region] = RegionPlan(region=region, action=None)
         if not rs.state.idle_agents():
             continue
         if params.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        joint = _joint_slots(rs, params.max_joint_actions)
-        if joint is None or len(joint[1]) > 1:  # more than one action
-            tasks.extend((rs, i) for i in range(n_samples))
-            continue
-        idle, slots = joint  # PASS, or every idle agent at the one open depot
-        for i in range(n_samples):
-            if _region_chain(pool.restricted[region], rs, i, seed, params.horizon_ms):
-                plan.action = AllocationAction(tuple((a, d) for a in idle for d in slots))
-                break
+        tasks.extend((rs, i) for i in range(n_samples))
     for (rs, _i), scores in zip(tasks, pool.run(tasks, params, seed)):
         for action, score in scores.items():
             plans[rs.region].score_map.add(action, score)

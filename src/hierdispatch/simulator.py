@@ -192,11 +192,9 @@ def dispatch(state: SystemState, agent_id: int, incident: Incident,
                  world.travel.travel_time(agent.position, dest))
 
 
-def depot_occupancy(state: SystemState, depot_id: int,
-                    exclude_agent: int | None = None) -> int:
+def depot_occupancy(state: SystemState, depot_id: int) -> int:
     """Agents assigned to a depot; busy agents keep their slot reserved."""
-    return sum(1 for a in state.agents
-               if a.depot == depot_id and a.id != exclude_agent)
+    return sum(1 for a in state.agents if a.depot == depot_id)
 
 
 def assign_depot(state: SystemState, agent_id: int, depot_id: int,

@@ -509,6 +509,23 @@ class TestCLI:
         assert captured.err == ("hierdispatch: error: unknown config keys: "
                                 "['not_a_key']\n")
 
+    def test_run_missing_config_fails_in_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "nope.yaml"
+        assert cli.main(["run", "--config", str(missing), "--out",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hierdispatch: error: ")
+        assert captured.err.count("\n") == 1 and str(missing) in captured.err
+
+    def test_compare_missing_report_fails_in_one_line(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(["compare", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hierdispatch: error: ")
+        assert captured.err.count("\n") == 1 and str(a) in captured.err
+
     def test_partition_dump(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli.main(["partition", "--config", str(cfg)]) == 0

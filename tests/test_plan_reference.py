@@ -149,9 +149,10 @@ class TestSingleActionRegion:
         world, state = single_action_region()
         sampled, searched = [], []
 
-        def fake_sample(*_args, **_kwargs):
-            sampled.append(1)
-            return chains[len(sampled) - 1]
+        def fake_sample(_model, _horizon, seed_seq, **_kwargs):
+            _region, i = seed_seq.spawn_key
+            sampled.append(i)
+            return chains[i]
 
         def counted_search(*args, **kwargs):
             searched.append(1)
@@ -161,9 +162,11 @@ class TestSingleActionRegion:
         model = DemandModel(rates=np.full(10, 0.5))
         action = plan_region_allocations(state, world, model, params,
                                          n_samples=n_samples, seed=0)[0].action
-        return action, len(sampled), len(searched)
+        return action, sorted(sampled), len(searched)
 
-    def test_stops_at_first_chain_with_an_incident(self, monkeypatch):
+    def test_every_chain_sampled_once_without_a_tree(self, monkeypatch):
+        # the one action is decided by each chain's task: no early stop
+        # at the first chain with an incident, and no tree is searched
         horizon = MCTSParams().horizon_ms
         empty = IncidentChain([], horizon)
         late = IncidentChain([incident(0, 3, HOUR_MS + horizon + 5)], horizon)
@@ -171,7 +174,7 @@ class TestSingleActionRegion:
         action, sampled, searched = self._plan(
             monkeypatch, [empty, late, inside, inside])
         assert action == AllocationAction(((0, 0),))
-        assert (sampled, searched) == (3, 0)
+        assert (sampled, searched) == ([0, 1, 2, 3], 0)
 
     def test_window_end_is_outside(self, monkeypatch):
         # the 1 ms collision push can land an incident exactly on
@@ -184,7 +187,7 @@ class TestSingleActionRegion:
         assert _Tree(rs, edge, world, MCTSParams()).root.terminal
         action, sampled, searched = self._plan(monkeypatch, [edge] * 4)
         assert action is None
-        assert (sampled, searched) == (4, 0)
+        assert (sampled, searched) == ([0, 1, 2, 3], 0)
 
     def test_zero_iterations_still_raise(self, monkeypatch):
         inside = IncidentChain([incident(0, 3, HOUR_MS + 10)], 2 * HOUR_MS)

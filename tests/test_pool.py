@@ -108,6 +108,32 @@ def test_plans_of_two_models_on_one_world_equal_reference():
             {r: p.score_map.scores for r, p in alone.items()}
 
 
+def test_lone_action_region_decided_by_pool_tasks(monkeypatch):
+    # one idle agent and one depot: its one action comes from the region's
+    # n_samples tasks in the pool, as any region's scores do
+    world = build_world(depot_xy=((0, 0),))
+    state = fresh_state(world, [0], clock_ms=HOUR_MS)
+    model = DemandModel(rates=np.full(10, 0.5))
+    received = []
+    run = TreePool.run
+
+    def spied(self, tasks, *args):
+        received.append([(rs.region, i) for rs, i in tasks])
+        return run(self, tasks, *args)
+    monkeypatch.setattr(TreePool, "run", spied)
+    plans = []
+    for helpers in (0, 1):
+        with pool_for(world, model, helpers) as pool:
+            plans.append(plan_region_allocations(state, world, model,
+                                                 MCTSParams(iterations=8), 4, 0,
+                                                 pool=pool)[0])
+    assert received == [[(0, i) for i in range(4)]] * 2
+    stay = lowlevel.AllocationAction(((0, 0),))
+    assert plans[0].action == plans[1].action == stay
+    assert plans[0].score_map.scores == plans[1].score_map.scores
+    assert set(plans[0].score_map.scores) == {stay}
+
+
 @pytest.fixture
 def starts(monkeypatch):
     """The number of helpers of each pool that forked any."""

@@ -237,7 +237,8 @@ class TestInvariants:
                 if idle:
                     agent = idle[int(rng.integers(len(idle)))]
                     depot = world.depots[int(rng.integers(3))]
-                    if depot_occupancy(state, depot.id, agent.id) < depot.capacity:
+                    others = depot_occupancy(state, depot.id) - (agent.depot == depot.id)
+                    if others < depot.capacity:
                         assign_depot(state, agent.id, depot.id, world)
 
     def test_agent_count_conserved_and_replay_identical(self):
