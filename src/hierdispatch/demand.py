@@ -142,26 +142,36 @@ def sample_chain(model: DemandModel, horizon_ms: int, seed,
     times are uniform. Identical (model, horizon, seed) inputs reproduce
     the chain exactly. Coincident timestamps are pushed apart by 1 ms,
     preserving generation order.
+
+    A cell outside every spike window is one segment: its mean comes from
+    one array expression (the same IEEE operations as per cell), and a
+    lone event's time from a scalar draw, the number a size-1 draw gives.
+    The Poisson draws stay scalar and in cell order, so the generator's
+    stream, and the chain, is the one per-segment sampling gives.
     """
     if horizon_ms <= 0:
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)
+    poisson, integers = rng.poisson, rng.integers
     end_ms = start_ms + horizon_ms
     raw: list[tuple[int, int]] = []  # (time_ms, cell)
-    rates = model.rates.tolist()
     spiked = set().union(*(w.cells for w in model.spikes))
-    # cells with a positive rate (NaN kept, as `rate <= 0` is False), as ints;
-    # a cell outside every spike window is one constant-rate segment
-    for cell in np.flatnonzero(~(model.rates <= 0)).tolist():
-        segments = (_segments(model, cell, start_ms, end_ms) if cell in spiked
-                    else ((start_ms, end_ms, rates[cell]),))
-        for a, b, rate in segments:
-            mean = rate * (b - a) / MS_PER_HOUR
-            n = rng.poisson(mean)
-            if n == 0:
-                continue
-            times = np.sort(rng.integers(a, b, size=n))
-            raw.extend((int(t), cell) for t in times)
+    # cells with a positive rate (NaN kept, as `rate <= 0` is False)
+    cells = np.flatnonzero(~(model.rates <= 0))
+    means = (model.rates[cells] * horizon_ms / MS_PER_HOUR).tolist()
+    for cell, mean in zip(cells.tolist(), means):
+        if cell not in spiked:
+            n = poisson(mean)
+            if n == 1:  # ~4x cheaper than size=1
+                raw.append((int(integers(start_ms, end_ms)), cell))
+            elif n:
+                raw.extend((t, cell) for t in
+                           np.sort(integers(start_ms, end_ms, size=n)).tolist())
+            continue
+        for a, b, rate in _segments(model, cell, start_ms, end_ms):
+            n = poisson(rate * (b - a) / MS_PER_HOUR)
+            if n:
+                raw.extend((t, cell) for t in np.sort(integers(a, b, size=n)).tolist())
 
     raw.sort(key=lambda tc: tc[0])
     incidents = []

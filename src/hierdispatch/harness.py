@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -94,6 +95,10 @@ class ScenarioConfig:
             if (f.type.startswith("float") and not number(type(value))
                     and not (value is None and "None" in f.type)):
                 raise ConfigError(f"{f.name}: must be a number, not {value!r}")
+            # compared, not math.isfinite(): float() of a huge int overflows
+            if (f.type.startswith("float") and value is not None
+                    and not -math.inf < value < math.inf):
+                raise ConfigError(f"{f.name}: must be finite, not {value!r}")
         need(isinstance(self.seeds, list)  # each type once: seeds can be many
              and all(number(t, numbers.Integral) for t in set(map(type, self.seeds))),
              "seeds", "must be a list of integers")
@@ -109,6 +114,7 @@ class ScenarioConfig:
              f"must be one of {_TEST_BEDS}")
         need(len(self.seeds) >= 1, "seeds", "need at least one seed")
         need(self.horizon_hours > 0, "horizon_hours", "must be positive")
+        need(self.base_rate_per_hour >= 0, "base_rate_per_hour", "must be >= 0")
         has_demand = (self.base_rate_per_hour > 0 or self.hotspots
                       or self.history_file)
         need(has_demand, "base_rate_per_hour",
@@ -138,6 +144,7 @@ class ScenarioConfig:
         need(self.n_samples >= 1, "n_samples", "must be >= 1")
         need(self.max_joint_actions >= 1, "max_joint_actions", "must be >= 1")
         need(0 < self.discount <= 1, "discount", "must be in (0, 1]")
+        need(self.uct_c >= 0, "uct_c", "must be >= 0")
         need(self.replan_minutes > 0, "replan_minutes", "must be positive")
         need(self.speed_mph > 0, "speed_mph", "must be positive")
         need(self.planning_horizon_hours > 0, "planning_horizon_hours",

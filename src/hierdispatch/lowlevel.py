@@ -51,12 +51,17 @@ class AllocationAction:
         return ";".join(f"a{a}->d{d}" for a, d in self.assignment)
 
     def travel_distance(self, state: SystemState, world: World) -> float:
-        total = 0.0
-        for agent_id, depot_id in self.assignment:
-            pos = state.agent(agent_id).position
-            dest = world.depot_pos(depot_id)
-            total += math.hypot(dest[0] - pos[0], dest[1] - pos[1])
-        return total
+        return _travel(self.assignment, {a.id: a.position for a in state.agents}, world)
+
+
+def _travel(assignment, positions: dict, world: World) -> float:
+    """Miles of the assignment's moves, summed in its order; positions by agent id."""
+    total = 0.0
+    for agent_id, depot_id in assignment:
+        pos = positions[agent_id]
+        dest = world.depot_pos(depot_id)
+        total += math.hypot(dest[0] - pos[0], dest[1] - pos[1])
+    return total
 
 
 PASS = AllocationAction(())
@@ -117,7 +122,10 @@ def _joint_choices(rs: RegionState, max_joint: int):
     # k-permutations of the free slots come out in lexicographic order of
     # depot ids; a depot with several free slots repeats a tuple, kept once
     slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
-    return tuple(idle), list(dict.fromkeys(itertools.permutations(slot_list, len(idle))))
+    perms = itertools.permutations(slot_list, len(idle))
+    if max(slots.values()) > 1:
+        perms = dict.fromkeys(perms)
+    return tuple(idle), list(perms)
 
 
 def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
@@ -268,14 +276,15 @@ class MCTSResult:
 
 @dataclass
 class ActionScoreMap:
-    """Per-action scores across sampled chains (one entry per tree)."""
+    """Per-action scores across sampled chains (one entry per tree), keyed
+    by assignment tuple: cheaper to pickle and hash than AllocationAction."""
 
-    scores: dict[AllocationAction, list[float]] = field(default_factory=dict)
+    scores: dict[tuple, list[float]] = field(default_factory=dict)
 
-    def add(self, action: AllocationAction, score: float) -> None:
-        self.scores.setdefault(action, []).append(score)
+    def add(self, assignment: tuple, score: float) -> None:
+        self.scores.setdefault(assignment, []).append(score)
 
-    def means(self) -> dict[AllocationAction, float]:
+    def means(self) -> dict[tuple, float]:
         return {a: sum(v) / len(v) for a, v in self.scores.items()}
 
 
@@ -442,7 +451,9 @@ class _Tree:
             key, child = min(node.children.items(),
                              key=lambda kv: (kv[1].mean_cost, kv[0]))
             pairs.append(key)
-            node = child  # the last agent's child is an epoch node
+            node = child
+            if len(pairs) == len(self.root.to_assign):
+                break  # an epoch node, which may itself assign one at a time
         probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
                            to_assign=self.root.to_assign, partial=tuple(pairs))
         return AllocationAction(self._complete_partial(probe))
@@ -545,7 +556,8 @@ class TreePool:
     does not depend on which process ran a task. A pool serves one world
     and one demand model, restricted to each region once; the helpers fork
     when the pool is made and inherit both, so only the tasks are pickled.
-    A process that has other threads forks none and runs every task itself.
+    Replies hold builtins only: scores keyed by assignment tuple. A process
+    that has other threads forks none and runs every task itself.
     """
 
     def __init__(self, world: World, model: DemandModel, helpers: int):
@@ -574,13 +586,14 @@ class TreePool:
 
     def _search(self, rs: RegionState, i: int, seed, params: MCTSParams,
                 choices: dict) -> dict:
-        """The scores of the tree on rs's chain i, sampled here from the
-        region's restricted model; {} when no incident of the chain falls in
-        [clock, clock + horizon), as every action would score alike. choices
-        holds root choices by region, worked out on first use and shared by
-        the region's trees. A root with one depot tuple (PASS included)
-        scores {that action: 0.0} without a tree: the region has no other
-        action, so that 0.0 is never compared with another score.
+        """The scores of the tree on rs's chain i, keyed by assignment tuple,
+        the chain sampled here from the region's restricted model; {} when
+        no incident of the chain falls in [clock, clock + horizon), as every
+        action would score alike. choices holds root choices by region,
+        worked out on first use and shared by the region's trees. A root
+        with one depot tuple (PASS included) scores {that assignment: 0.0}
+        without a tree: the region has no other action, so that 0.0 is
+        never compared with another score.
         """
         t0 = rs.state.clock_ms
         key = np.random.SeedSequence(entropy=seed, spawn_key=(rs.region, i))
@@ -592,9 +605,9 @@ class TreePool:
             choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
         root = choices[rs.region]
         if root is not None and len(root[1]) == 1:
-            return {AllocationAction(tuple(zip(root[0], root[1][0]))): 0.0}
-        return mcts_search(rs, chain, self.world, params,
-                           root_choices=root).scores
+            return {tuple(zip(root[0], root[1][0])): 0.0}
+        scores = mcts_search(rs, chain, self.world, params, root_choices=root).scores
+        return {action.assignment: score for action, score in scores.items()}
 
     def run(self, tasks, params: MCTSParams, seed) -> list:
         """Each (region state, sample index) task's scores, in task order;
@@ -646,7 +659,7 @@ class TreePool:
 class RegionPlan:
     region: int
     action: AllocationAction | None  # None: keep current assignment
-    score_map: ActionScoreMap = field(default_factory=ActionScoreMap)
+    score_map: ActionScoreMap = field(default_factory=ActionScoreMap)  # tuple keys
 
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
@@ -694,8 +707,9 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
             raise ValueError("iterations must be >= 1")
         tasks.extend((rs, i) for i in range(n_samples))
     for (rs, _i), scores in zip(tasks, pool.run(tasks, params, seed)):
-        for action, score in scores.items():
-            plans[rs.region].score_map.add(action, score)
+        add = plans[rs.region].score_map.add
+        for assignment, score in scores.items():
+            add(assignment, score)
     for rs in {rs.region: rs for rs, _i in tasks}.values():
         plan = plans[rs.region]
         means = plan.score_map.means()
@@ -703,7 +717,8 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
             continue
         # the (mean, travel, assignment) minimum; travel only for the tied
         best = min(means.values())
-        plan.action = min((a for a in means if means[a] == best),
-                          key=lambda a: (a.travel_distance(rs.state, world),
-                                         a.assignment))
+        positions = {a.id: a.position for a in rs.state.agents}
+        plan.action = AllocationAction(min(
+            (a for a in means if means[a] == best),
+            key=lambda a: (_travel(a, positions, world), a)))
     return plans

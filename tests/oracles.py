@@ -14,8 +14,8 @@ import numpy as np
 
 from hierdispatch.demand import Incident, IncidentChain, _segments
 from hierdispatch.lowlevel import (PASS, AllocationAction, RegionPlan,
-                                   _free_slots, decompose, mcts_search,
-                                   sample_chain)
+                                   SearchNode, _free_slots, _Tree, decompose,
+                                   mcts_search, sample_chain)
 from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
                                     UnknownIncident)
 from hierdispatch.units import MS_PER_HOUR, ceil_ms
@@ -327,8 +327,11 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
 # search of single-action regions and scored terminal leaves once, kept
 # verbatim: plan_region_allocations always searches, and tree_evaluate
 # (the old _Tree._evaluate) replays every leaf from a fresh clone, through
-# the reference _play and apply_allocation above. The property test in test_plan_reference.py patches tree_evaluate into
-# _Tree and checks the package's plans and scores against these with ==.
+# the reference _play and apply_allocation above. The property test in
+# test_plan_reference.py patches tree_evaluate into _Tree and checks the
+# package's plans and scores against these with ==. The loop searches
+# through search(), which puts the reference best_descent (the descent that
+# stops at the root's last agent) into _Tree.
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
                             params: MCTSParams, n_samples: int, seed,
@@ -361,7 +364,7 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                                                 spawn_key=(region, i))
             chain = sample_chain(restricted, params.horizon_ms, chain_seed,
                                  start_ms=state.clock_ms)
-            result = mcts_search(rs, chain, world, params)
+            result = search(rs, chain, world, params)
             for action, score in result.scores.items():
                 plan.score_map.add(action, score)
         means = plan.score_map.means()
@@ -373,6 +376,36 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                           key=lambda a: (a.travel_distance(rs.state, world),
                                          a.assignment))
     return plans
+
+
+def best_descent(self) -> AllocationAction:
+    """_Tree.best_descent before it lost its stop at the root's last agent,
+    kept verbatim; plan_region_allocations above searches with it."""
+    pairs: list[tuple[int, int]] = []
+    node = self.root
+    while node.to_assign is not None and node.children:
+        key, child = min(node.children.items(),
+                         key=lambda kv: (kv[1].mean_cost, kv[0]))
+        pairs.append(key)
+        node = child
+        if len(pairs) == len(self.root.to_assign):
+            break
+    if len(pairs) < len(self.root.to_assign):
+        probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
+                           to_assign=self.root.to_assign,
+                           partial=tuple(pairs))
+        return AllocationAction(self._complete_partial(probe))
+    return AllocationAction(tuple(pairs))
+
+
+def search(rs, chain, world, params):
+    """mcts_search with the reference best_descent above."""
+    package = _Tree.best_descent
+    _Tree.best_descent = best_descent
+    try:
+        return mcts_search(rs, chain, world, params)
+    finally:
+        _Tree.best_descent = package
 
 
 def tree_evaluate(self, node: SearchNode) -> float:

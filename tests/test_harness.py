@@ -134,6 +134,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: must be"):
             tiny_config(tmp_path, **{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("horizon_hours", float("inf")),      # OverflowError in hours_to_ms
+        ("planning_horizon_hours", float("inf")),
+        ("replan_minutes", float("inf")),
+        ("service_minutes", float("inf")),
+        ("speed_mph", float("inf")),          # ran with mean RT 0
+        ("cell_size_miles", float("inf")),
+        ("history_horizon_hours", float("inf")),
+        ("uct_c", float("nan")),              # no child ever selected
+        ("uct_c", -0.5),
+        ("base_rate_per_hour", -0.5),
+        ("base_rate_per_hour", float("nan")),
+    ])
+    def test_value_out_of_range_named(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be"):
+            tiny_config(tmp_path, **{key: value})
+
     def test_quoted_number_in_yaml_named(self, tmp_path):
         cfg = tiny_config(tmp_path)
         p = tmp_path / "quoted.yaml"

@@ -477,6 +477,21 @@ class TestPlanRegionAllocations:
         again = plan_once()
         assert again[0].action == action
 
+    def test_decomposed_descent_stops_at_the_root_agents(self):
+        # the last root agent's child is an epoch node that itself assigns
+        # one agent at a time; the descent must not walk on into its levels
+        world = build_world(depot_xy=((0, 0), (2, 0), (4, 0), (6, 0)))
+        rs = region_state(world, [1, 2])
+        c = chain(*(incident(i, cell, minute * MS_PER_MINUTE)
+                    for i, (cell, minute) in enumerate(((5, 10), (1, 30), (7, 50)))))
+        params = MCTSParams(iterations=20, max_joint_actions=1)
+        result = mcts_search(rs, c, world, params)
+        assert result.decomposed
+        assert [a.assignment for a in result.scores] == [((0, 3), (1, 0))]
+        tree = _Tree(rs, c, world, params)
+        tree.run(params.iterations)
+        assert tree.best_descent() == oracles.best_descent(tree)
+
 
 class TestDecompose:
     def test_projection_filters_by_region(self):

@@ -9,6 +9,7 @@ depend on it.
 import copy
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -131,7 +132,21 @@ def test_lone_action_region_decided_by_pool_tasks(monkeypatch):
     stay = lowlevel.AllocationAction(((0, 0),))
     assert plans[0].action == plans[1].action == stay
     assert plans[0].score_map.scores == plans[1].score_map.scores
-    assert set(plans[0].score_map.scores) == {stay}
+    assert set(plans[0].score_map.scores) == {stay.assignment}
+
+
+@pytest.mark.parametrize("depots, homes", [(((0, 0), (4, 0), (9, 0)), [0, 1]),
+                                           (((0, 0),), [0])])
+def test_reply_pickles_only_builtins(depots, homes):
+    # a helper's reply crosses a pipe pickled; a searched region's scores
+    # and a lone-action region's name no class of the package
+    world = build_world(depot_xy=depots)
+    model = DemandModel(rates=np.full(10, 2.0))
+    rs = lowlevel.decompose(fresh_state(world, homes), 0, world)
+    scores = TreePool(world, model, 0)._search(rs, 0, 0, MCTSParams(iterations=8), {})
+    assert scores
+    assert set(scores) <= {a.assignment for a in lowlevel.enumerate_actions(rs)}
+    assert b"hierdispatch" not in pickle.dumps(scores)
 
 
 @pytest.fixture
