@@ -17,7 +17,6 @@ def _cmd_run(args) -> int:
         cfg.seeds = [args.seed]
     if args.mode is not None:
         cfg.mode = args.mode
-    cfg.validate()
     report = run_experiment(cfg, args.out, trace=args.trace)
     s = report.summary_dict()
     print(f"mode={s['mode']} n={s['n']} mean_rt_s={s['mean_rt_s']:.3f} "

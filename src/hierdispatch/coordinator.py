@@ -119,7 +119,7 @@ def apply_region_rebalance(state: SystemState, old_x: dict, new_x: dict,
         for r_from, surplus in sorted(give.items()):
             if surplus <= 0:
                 continue
-            for agent in state.idle_agents(region=r_from):
+            for agent in [a for a in state.idle_agents() if a.region == r_from]:
                 for r_to in sorted(take):
                     for depot in world.depots_in(r_to):
                         if depot_occupancy(state, depot.id) >= depot.capacity:

@@ -35,7 +35,7 @@ from .lowlevel import MCTSParams
 from .simulator import Agent, AgentStatus, SystemState
 from .spatial import (Depot, RegionPartition, TravelModel, World, make_grid,
                       partition_regions)
-from .units import MS_PER_MINUTE, hours_to_ms, seconds_to_ms
+from .units import MS_PER_HOUR, MS_PER_MINUTE, hours_to_ms, seconds_to_ms
 
 
 class ConfigError(ValueError):
@@ -149,6 +149,10 @@ class ScenarioConfig:
         need(self.speed_mph > 0, "speed_mph", "must be positive")
         need(self.planning_horizon_hours > 0, "planning_horizon_hours",
              "must be positive")
+        for key in ("horizon_hours", "planning_horizon_hours"):
+            # event times are int64 ms, up to the clock plus the planning window
+            need(getattr(self, key) * MS_PER_HOUR < 2**62, key,
+                 "must be below 2**62 ms")
 
     @property
     def eta_per_hour(self) -> float:
@@ -157,8 +161,9 @@ class ScenarioConfig:
 
 def _check_spike(cfg: ScenarioConfig, name: str, s):
     """The spike's (start_ms, end_ms, multiplier, region, cells); a
-    ConfigError naming it unless it has its keys, start < end, multiplier
-    >= 1, and a region or (gx, gy) cells that exist."""
+    ConfigError naming it unless it has its keys, finite hours with start <
+    end, a finite multiplier >= 1, and a region or (gx, gy) cells that
+    exist."""
     try:
         start = hours_to_ms(float(s["start_hour"]))
         end = hours_to_ms(float(s["end_hour"]))
@@ -166,13 +171,13 @@ def _check_spike(cfg: ScenarioConfig, name: str, s):
         region = int(s["region"]) if "region" in s else None
         cells = ([] if region is not None
                  else [(int(gx), int(gy)) for gx, gy in s["cells"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: needs start_hour, end_hour, multiplier "
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: needs finite start_hour, end_hour, multiplier "
                           "and 'region' or 'cells'") from exc
     if start >= end:
         raise ConfigError(f"{name}: start_hour must be before end_hour")
-    if not mult >= 1:
-        raise ConfigError(f"{name}: multiplier must be >= 1")
+    if not 1 <= mult < math.inf:
+        raise ConfigError(f"{name}: multiplier must be finite and >= 1")
     if region is not None and region not in range(cfg.num_regions):
         raise ConfigError(f"{name}: region {region} is not in "
                           f"range(num_regions={cfg.num_regions})")
@@ -184,27 +189,29 @@ def _check_spike(cfg: ScenarioConfig, name: str, s):
 
 def _check_hotspot(cfg: ScenarioConfig, name: str, h):
     """The hotspot's (gx, gy, rate_per_hour); a ConfigError naming it
-    unless gx, gy lie inside the grid and rate_per_hour is a number >= 0."""
+    unless gx, gy lie inside the grid and rate_per_hour is a finite number
+    >= 0."""
     try:
         gx, gy, rate = int(h["gx"]), int(h["gy"]), float(h["rate_per_hour"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: needs gx, gy, rate_per_hour") from exc
     if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
         raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
-    if not rate >= 0:
-        raise ConfigError(f"{name}: rate_per_hour must be >= 0")
+    if not 0 <= rate < math.inf:
+        raise ConfigError(f"{name}: rate_per_hour must be finite and >= 0")
     return gx, gy, rate
 
 
 def _check_failure(name: str, f) -> FailureEvent:
     """The failure's event; a ConfigError naming it unless it has agent_id,
-    a numeric start_hour, and a duration_hours of at least one millisecond."""
+    a finite start_hour, and a finite duration_hours of at least one
+    millisecond."""
     try:
         agent_id = int(f["agent_id"])
         start_ms = hours_to_ms(float(f["start_hour"]))
         duration_ms = hours_to_ms(float(f.get("duration_hours", 8.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: needs agent_id, numeric start_hour "
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: needs agent_id, finite start_hour "
                           "and duration_hours") from exc
     if duration_ms <= 0:
         raise ConfigError(f"{name}: duration_hours must be positive")
@@ -247,14 +254,20 @@ class Scenario:
 
 
 def _build_rates(cfg: ScenarioConfig, num_cells: int, width: int) -> np.ndarray:
+    """Per-cell rates; a ConfigError unless some cell's rate is positive
+    (a later hotspot on a cell replaces an earlier one's rate)."""
     if cfg.history_file:
         history = load_history(_resolve(cfg, cfg.history_file), width,
                                cfg.grid_height)
-        return fit_rates(history, cfg.history_horizon_hours, num_cells).rates
-    rates = np.full(num_cells, float(cfg.base_rate_per_hour))
-    for i, h in enumerate(cfg.hotspots):
-        gx, gy, rate = _check_hotspot(cfg, f"hotspots[{i}]", h)
-        rates[gy * width + gx] = rate
+        rates = fit_rates(history, cfg.history_horizon_hours, num_cells).rates
+    else:
+        rates = np.full(num_cells, float(cfg.base_rate_per_hour))
+        for i, h in enumerate(cfg.hotspots):
+            gx, gy, rate = _check_hotspot(cfg, f"hotspots[{i}]", h)
+            rates[gy * width + gx] = rate
+    if not rates.sum() > 0:
+        raise ConfigError(f"{'history_file' if cfg.history_file else 'hotspots'}: "
+                          "no demand, every cell's rate is 0")
     return rates
 
 
@@ -287,9 +300,9 @@ def _rows(path, what: str, columns: tuple[str, ...]):
     """A reader per row of a CSV file that has the given columns.
 
     read(key, parse, need, ok) returns parse(row[key]) if it raises no
-    TypeError or ValueError and ok accepts it; otherwise it raises a
-    ConfigError naming the file, the row (counted from 1 after the
-    header), the key, and what the value must be (need).
+    TypeError, ValueError or OverflowError and ok accepts it; otherwise it
+    raises a ConfigError naming the file, the row (counted from 1 after
+    the header), the key, and what the value must be (need).
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -301,7 +314,7 @@ def _rows(path, what: str, columns: tuple[str, ...]):
                     value = parse(row[key])
                     if ok(value):
                         return value
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     pass
                 raise ConfigError(f"{what} file {path} row {n}: {key} "
                                   f"{row[key]!r} must be {need}")

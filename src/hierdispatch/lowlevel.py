@@ -265,6 +265,10 @@ class MCTSParams:
     horizon_ms: int = 2 * MS_PER_HOUR
     max_joint_actions: int = 10_000
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+
 
 @dataclass
 class MCTSResult:
@@ -306,34 +310,33 @@ class _Tree:
         self.incidents = _in_window(chain, self.t0, params.horizon_ms)
         self.root = SearchNode(rs.state.clone(), 0, 0.0,
                                terminal=not self.incidents)
-        self.root_choices = root_choices  # ...: work them out on first visit
         self.cost_lo = math.inf
         self.cost_hi = -math.inf
+        if not self.root.terminal:  # a terminal root gets no actions: run stops there
+            if isinstance(root_choices, tuple):  # _expand pops; sibling trees share it
+                root_choices = root_choices[0], list(root_choices[1])
+            self._init_actions(self.root, root_choices)
 
     def _region_view(self, state: SystemState) -> RegionState:
         return RegionState(self.region, state, self.depots)
 
-    def _init_actions(self, node: SearchNode) -> None:
-        if node.to_assign is not None:
-            i = len(node.partial)
-            slots = _free_slots(self._region_view(node.state),
-                                set(node.to_assign), node.partial)
-            node.untried = [(node.to_assign[i], d)
-                            for d in sorted(slots) if slots[d] > 0]
-            return
-        if node is self.root and self.root_choices is not ...:
-            choices = self.root_choices
-            if choices is not None:  # _expand pops; sibling trees share it
-                choices = choices[0], list(choices[1])
-        else:
-            choices = _joint_choices(self._region_view(node.state),
-                                     self.params.max_joint_actions)
-        if choices is None:
-            idle = sorted(a.id for a in node.state.idle_agents())
-            node.to_assign = tuple(idle)
-            self._init_actions(node)
-        else:
-            node.idle_ids, node.untried = choices
+    def _init_actions(self, node: SearchNode, choices=...) -> None:
+        """Fill node.untried with the actions to try at node. An epoch node
+        takes choices, its _joint_choices (worked out here when not given):
+        depot tuples for its idle agents, or None to assign them one at a
+        time. A per-agent level lists its next agent's (agent, depot) pairs."""
+        if node.to_assign is None:
+            if choices is ...:
+                choices = _joint_choices(self._region_view(node.state),
+                                         self.params.max_joint_actions)
+            if choices is not None:
+                node.idle_ids, node.untried = choices
+                return
+            node.to_assign = tuple(sorted(a.id for a in node.state.idle_agents()))
+        slots = _free_slots(self._region_view(node.state), set(node.to_assign),
+                            node.partial)
+        agent_id = node.to_assign[len(node.partial)]
+        node.untried = [(agent_id, d) for d in sorted(slots) if slots[d] > 0]
 
     def _make_epoch_child(self, node: SearchNode, key, assignment) -> SearchNode:
         state = node.state.clone()
@@ -428,8 +431,6 @@ class _Tree:
                     node = self._expand(node)
                     path.append(node)
                     break
-                if not node.children:
-                    break
                 node = self._select(node)
                 path.append(node)
             total = self._evaluate(node)
@@ -471,8 +472,6 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
     actions than params.max_joint_actions assigns its agents one at a
     time and scores only the best descent's complete assignment.
     """
-    if params.iterations < 1:
-        raise ValueError("iterations must be >= 1")
     if not rs.state.idle_agents():
         return MCTSResult(scores={}, root=SearchNode(rs.state.clone(), 0, 0.0),
                           iterations=0)
@@ -703,8 +702,6 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
         plans[region] = RegionPlan(region=region, action=None)
         if not rs.state.idle_agents():
             continue
-        if params.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         tasks.extend((rs, i) for i in range(n_samples))
     for (rs, _i), scores in zip(tasks, pool.run(tasks, params, seed)):
         add = plans[rs.region].score_map.add

@@ -1,16 +1,13 @@
 """M/M/c waiting-time analytics used by the inter-region allocator.
 
 Standard Erlang-C expressions: P0 is the empty-system probability and
-mean_wait the expected queueing delay Wq (hours). Factorial terms switch
-to log-space above c = 20 to avoid overflow.
+mean_wait the expected queueing delay Wq (hours).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-_LOG_SPACE_C = 20
 
 
 class Unstable(Exception):
@@ -42,40 +39,31 @@ def _check_stable(q: QueueParams) -> None:
 
 
 def p0(q: QueueParams) -> float:
-    """Probability of an empty system, in (0, 1]."""
+    """Probability of an empty system, in [0, 1]: 0.0 once the running
+    sum of a^m/m! overflows to inf."""
     _check_stable(q)
-    if q.lam == 0:
-        return 1.0
     a = q.lam / q.mu
-    if q.c <= _LOG_SPACE_C:
-        total = sum(a ** m / math.factorial(m) for m in range(q.c))
-        total += a ** q.c / (math.factorial(q.c) * (1 - q.rho))
-        return 1.0 / total
-    log_a = math.log(a)
-    terms = [m * log_a - math.lgamma(m + 1) for m in range(q.c)]
-    terms.append(q.c * log_a - math.lgamma(q.c + 1) - math.log(1 - q.rho))
-    peak = max(terms)
-    return math.exp(-(peak + math.log(sum(math.exp(t - peak) for t in terms))))
+    total, term = 0.0, 1.0  # term = a^m / m!
+    for m in range(q.c):
+        total += term
+        term *= a / (m + 1)
+    return 1.0 / (total + term / (1 - q.rho))
 
 
 def wait_probability(q: QueueParams) -> float:
-    """Erlang-C probability that an arrival has to queue."""
+    """Erlang-C probability that an arrival has to queue, by the Erlang-B
+    recursion B_k = a B_{k-1} / (k + a B_{k-1}) from B_0 = 1, which stays
+    in [0, 1] for every c: C = B_c / (1 - rho (1 - B_c))."""
     _check_stable(q)
-    if q.lam == 0:
-        return 0.0
     a = q.lam / q.mu
-    if q.c <= _LOG_SPACE_C:
-        numer = a ** q.c / (math.factorial(q.c) * (1 - q.rho))
-    else:
-        numer = math.exp(q.c * math.log(a) - math.lgamma(q.c + 1) - math.log(1 - q.rho))
-    return numer * p0(q)
+    b = 1.0
+    for k in range(1, q.c + 1):
+        b = a * b / (k + a * b)
+    return b / (1 - q.rho * (1 - b))
 
 
 def mean_wait(q: QueueParams) -> float:
     """Mean queueing delay Wq in hours; strictly decreasing in c."""
-    _check_stable(q)
-    if q.lam == 0:
-        return 0.0
     return wait_probability(q) / (q.c * q.mu - q.lam)
 
 

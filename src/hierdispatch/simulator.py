@@ -112,11 +112,8 @@ class SystemState:
                 return a
         raise KeyError(f"no agent {agent_id}")
 
-    def idle_agents(self, region: int | None = None) -> list[Agent]:
-        out = [a for a in self.agents if a.is_dispatchable(self.clock_ms)]
-        if region is not None:
-            out = [a for a in out if a.region == region]
-        return out
+    def idle_agents(self) -> list[Agent]:
+        return [a for a in self.agents if a.is_dispatchable(self.clock_ms)]
 
 
 def _begin_move(agent: Agent, t_ms: int, dest: Position, travel_s: float) -> None:

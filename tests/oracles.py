@@ -9,6 +9,7 @@ form of the same functions.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from hierdispatch.demand import Incident, IncidentChain, _segments
 from hierdispatch.lowlevel import (PASS, AllocationAction, RegionPlan,
                                    SearchNode, _free_slots, _Tree, decompose,
                                    mcts_search, sample_chain)
+from hierdispatch.queueing import QueueParams, _check_stable
 from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
                                     UnknownIncident)
 from hierdispatch.units import MS_PER_HOUR, ceil_ms
@@ -42,6 +44,54 @@ def simulate_mmc_mean_wait(lam, mu, c, n_arrivals, seed, warmup=50_000):
             waited += start - t
         heapq.heappush(free, start + services[i])
     return waited / n_arrivals
+
+
+# -- reference Erlang-C ----------------------------------------------------
+# queueing's p0, wait_probability and mean_wait before they moved to one
+# running sum and the Erlang-B recursion, kept verbatim: exact factorials
+# up to c = 20 and log space above. test_queueing.py checks the package's
+# values against these to a relative 1e-9, and the allocator's counts
+# with these patched in.
+
+_LOG_SPACE_C = 20
+
+
+def p0(q: QueueParams) -> float:
+    """Probability of an empty system, in (0, 1]."""
+    _check_stable(q)
+    if q.lam == 0:
+        return 1.0
+    a = q.lam / q.mu
+    if q.c <= _LOG_SPACE_C:
+        total = sum(a ** m / math.factorial(m) for m in range(q.c))
+        total += a ** q.c / (math.factorial(q.c) * (1 - q.rho))
+        return 1.0 / total
+    log_a = math.log(a)
+    terms = [m * log_a - math.lgamma(m + 1) for m in range(q.c)]
+    terms.append(q.c * log_a - math.lgamma(q.c + 1) - math.log(1 - q.rho))
+    peak = max(terms)
+    return math.exp(-(peak + math.log(sum(math.exp(t - peak) for t in terms))))
+
+
+def wait_probability(q: QueueParams) -> float:
+    """Erlang-C probability that an arrival has to queue."""
+    _check_stable(q)
+    if q.lam == 0:
+        return 0.0
+    a = q.lam / q.mu
+    if q.c <= _LOG_SPACE_C:
+        numer = a ** q.c / (math.factorial(q.c) * (1 - q.rho))
+    else:
+        numer = math.exp(q.c * math.log(a) - math.lgamma(q.c + 1) - math.log(1 - q.rho))
+    return numer * p0(q)
+
+
+def mean_wait(q: QueueParams) -> float:
+    """Mean queueing delay Wq in hours; strictly decreasing in c."""
+    _check_stable(q)
+    if q.lam == 0:
+        return 0.0
+    return wait_probability(q) / (q.c * q.mu - q.lam)
 
 
 def enumerate_allocations(k, total):

@@ -13,6 +13,7 @@ from hierdispatch.harness import (ConfigError, ScenarioConfig, build_scenario,
 from hierdispatch import cli, lowlevel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+INF = float("inf")
 
 
 def tiny_config(tmp_path, **overrides):
@@ -150,6 +151,37 @@ class TestConfig:
     def test_value_out_of_range_named(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: must be"):
             tiny_config(tmp_path, **{key: value})
+
+    @pytest.mark.parametrize("overrides, named", [
+        # numpy's "lam value too large" in a lowlevel run
+        (dict(horizon_hours=1e300), "horizon_hours"),
+        (dict(planning_horizon_hours=1e30, mode="lowlevel"), "planning_horizon_hours"),
+        # numpy's "high is out of bounds for int64"
+        (dict(horizon_hours=1e15), "horizon_hours"),
+        # a bare OverflowError from hours_to_ms
+        (dict(failures=[dict(agent_id=0, start_hour=1.0, duration_hours=INF)]),
+         r"failures\[0\]"),
+        (dict(failures=[dict(agent_id=0, start_hour=INF)]), r"failures\[0\]"),
+        (dict(spikes=[dict(region=0, start_hour=1.0, end_hour=INF, multiplier=2.0)]),
+         r"spikes\[0\]"),
+        # "Probabilities contain NaN" and "lam value too large"
+        (dict(hotspots=[dict(gx=1, gy=1, rate_per_hour=INF)]), r"hotspots\[0\]"),
+        (dict(spikes=[dict(region=0, start_hour=1.0, end_hour=2.0, multiplier=INF)]),
+         r"spikes\[0\]"),
+        # a bare OverflowError from seconds_to_ms
+        (dict(failure_file="inf_start.csv"), r"failure file \S+ row 1: start_time_s"),
+        # no demand, as the second hotspot replaces the first one's rate:
+        # "total weight must be positive" from partition_regions
+        (dict(base_rate_per_hour=0.0, hotspots=[dict(gx=0, gy=0, rate_per_hour=1.0),
+                                                dict(gx=0, gy=0, rate_per_hour=0.0)]),
+         "hotspots"),
+    ])
+    def test_out_of_range_fails_at_load(self, tmp_path, monkeypatch, overrides, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inf_start.csv").write_text(
+            "agent_id,start_time_s,duration_s\n0,inf,60\n")
+        with pytest.raises(ConfigError, match=rf"^{named}[: ]"):
+            build_scenario(tiny_config(tmp_path, **overrides))
 
     def test_quoted_number_in_yaml_named(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -525,6 +557,17 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == ("hierdispatch: error: unknown config keys: "
                                 "['not_a_key']\n")
+
+    def test_run_infinite_failure_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "failures:\n"
+                       "  - {agent_id: 0, start_hour: 1.0, duration_hours: .inf}\n")
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hierdispatch: error: failures[0]: needs agent_id, "
+                                "finite start_hour and duration_hours\n")
 
     def test_run_missing_config_fails_in_one_line(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"
