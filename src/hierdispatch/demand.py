@@ -13,6 +13,8 @@ import numpy as np
 
 from .units import MS_PER_HOUR, MS_PER_MINUTE
 
+SERVICE_LAWS = ("fixed", "exponential")  # the kinds of ServiceLaw
+
 
 class EmptyHistory(Exception):
     """No incident records and no explicit rates supplied."""
@@ -39,11 +41,11 @@ class SpikeWindow:
 class ServiceLaw:
     """Service-duration law: deterministic by default, exponential optional."""
 
-    kind: str = "fixed"  # fixed | exponential
+    kind: str = "fixed"  # one of SERVICE_LAWS
     mean_ms: int = 20 * MS_PER_MINUTE
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "exponential"):
+        if self.kind not in SERVICE_LAWS:
             raise ValueError(f"unknown service law {self.kind!r}")
         if self.mean_ms <= 0:
             raise ValueError("mean service duration must be positive")

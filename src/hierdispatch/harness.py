@@ -15,13 +15,15 @@ field excluded from byte-for-byte comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields
+import pathlib
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime
 
 import numpy as np
@@ -29,7 +31,8 @@ import yaml
 
 from .coordinator import (Coordinator, FailureEvent, PlannerConfig,
                           PolicyMode)
-from .demand import DemandModel, ServiceLaw, SpikeWindow, fit_rates, sample_chain
+from .demand import (SERVICE_LAWS, DemandModel, ServiceLaw, SpikeWindow,
+                     fit_rates, sample_chain)
 from .highlevel import allocate_for_partition
 from .lowlevel import MCTSParams
 from .simulator import Agent, AgentStatus, SystemState
@@ -46,124 +49,51 @@ class ChainMismatch(ValueError):
     """compare() was given reports produced from different evaluation chains."""
 
 
-_TEST_BEDS = ("stationary", "nonstationary", "failures")
+# each test bed and the keys of which it needs one
+_TEST_BEDS = {"stationary": (), "nonstationary": ("spikes",),
+              "failures": ("failures", "failure_file")}
 
 
-@dataclass
-class ScenarioConfig:
-    grid_width: int
-    grid_height: int
-    depot_file: str
-    cell_size_miles: float = 1.0
-    num_agents: int = 26
-    num_regions: int = 5
-    mode: str = "baseline"
-    test_bed: str = "stationary"
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    horizon_hours: float = 24.0
-    partition_seed: int = 0
-    # demand surface: uniform base plus optional hotspots, or a history file
-    base_rate_per_hour: float = 0.0
-    hotspots: list[dict] = field(default_factory=list)
-    history_file: str | None = None
-    history_horizon_hours: float | None = None
-    service_minutes: float = 20.0
-    service_law: str = "fixed"
-    spikes: list[dict] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
-    failure_file: str | None = None
-    # planner hyper-parameters
-    mcts_iterations: int = 1000
-    uct_c: float = 1.44
-    discount: float = 0.99995
-    n_samples: int = 50
-    replan_minutes: float = 60.0
-    speed_mph: float = 30.0
-    planning_horizon_hours: float = 2.0
-    max_joint_actions: int = 10_000
+def _numeric(t, kind=numbers.Real) -> bool:  # a bool is no number here
+    return issubclass(t, kind) and t is not bool
 
-    def validate(self) -> None:
-        def need(cond, name, msg):
-            if not cond:
-                raise ConfigError(f"{name}: {msg}")
-        def number(t, kind=numbers.Real):  # of type t; a bool is no number here
-            return issubclass(t, kind) and t is not bool
-        for f in fields(self):  # types first: the checks below compare
-            value = getattr(self, f.name)
-            if f.type == "int" and not number(type(value), numbers.Integral):
-                raise ConfigError(f"{f.name}: must be an integer, not {value!r}")
-            if (f.type.startswith("float") and not number(type(value))
-                    and not (value is None and "None" in f.type)):
-                raise ConfigError(f"{f.name}: must be a number, not {value!r}")
-            # compared, not math.isfinite(): float() of a huge int overflows
-            if (f.type.startswith("float") and value is not None
-                    and not -math.inf < value < math.inf):
-                raise ConfigError(f"{f.name}: must be finite, not {value!r}")
-        need(isinstance(self.seeds, list)  # each type once: seeds can be many
-             and all(number(t, numbers.Integral) for t in set(map(type, self.seeds))),
-             "seeds", "must be a list of integers")
-        need(self.grid_width >= 1, "grid_width", "must be >= 1")
-        need(self.grid_height >= 1, "grid_height", "must be >= 1")
-        need(self.cell_size_miles > 0, "cell_size_miles", "must be positive")
-        need(bool(self.depot_file), "depot_file", "is required")
-        need(self.num_agents >= 1, "num_agents", "must be >= 1")
-        need(self.num_regions >= 1, "num_regions", "must be >= 1")
-        modes = sorted(m.value for m in PolicyMode)
-        need(self.mode in modes, "mode", f"must be one of {modes}")
-        need(self.test_bed in _TEST_BEDS, "test_bed",
-             f"must be one of {_TEST_BEDS}")
-        need(len(self.seeds) >= 1, "seeds", "need at least one seed")
-        need(self.horizon_hours > 0, "horizon_hours", "must be positive")
-        need(self.base_rate_per_hour >= 0, "base_rate_per_hour", "must be >= 0")
-        has_demand = (self.base_rate_per_hour > 0 or self.hotspots
-                      or self.history_file)
-        need(has_demand, "base_rate_per_hour",
-             "no demand: set base_rate_per_hour, hotspots, or history_file")
-        if self.history_file:
-            need(self.history_horizon_hours is not None, "history_horizon_hours",
-                 "required with history_file")
-        if self.history_horizon_hours is not None:
-            need(self.history_horizon_hours > 0, "history_horizon_hours",
-                 "must be positive")
-        need(self.service_minutes > 0, "service_minutes", "must be positive")
-        need(self.service_law in ("fixed", "exponential"), "service_law",
-             "must be 'fixed' or 'exponential'")
-        if self.test_bed == "nonstationary":
-            need(bool(self.spikes), "spikes",
-                 "nonstationary test bed requires spike windows")
-        if self.test_bed == "failures":
-            need(bool(self.failures) or self.failure_file, "failures",
-                 "failures test bed requires a failure list or failure_file")
-        for i, spike in enumerate(self.spikes):
-            _check_spike(self, f"spikes[{i}]", spike)
-        for i, hotspot in enumerate(self.hotspots):
-            _check_hotspot(self, f"hotspots[{i}]", hotspot)
-        for i, failure in enumerate(self.failures):
-            _check_failure(f"failures[{i}]", failure)
-        need(self.mcts_iterations >= 1, "mcts_iterations", "must be >= 1")
-        need(self.n_samples >= 1, "n_samples", "must be >= 1")
-        need(self.max_joint_actions >= 1, "max_joint_actions", "must be >= 1")
-        need(0 < self.discount <= 1, "discount", "must be in (0, 1]")
-        need(self.uct_c >= 0, "uct_c", "must be >= 0")
-        need(self.replan_minutes > 0, "replan_minutes", "must be positive")
-        need(self.speed_mph > 0, "speed_mph", "must be positive")
-        need(self.planning_horizon_hours > 0, "planning_horizon_hours",
-             "must be positive")
-        for key in ("horizon_hours", "planning_horizon_hours"):
-            # event times are int64 ms, up to the clock plus the planning window
-            need(getattr(self, key) * MS_PER_HOUR < 2**62, key,
-                 "must be below 2**62 ms")
 
-    @property
-    def eta_per_hour(self) -> float:
-        return 60.0 / self.service_minutes
+def _check(rule, what: str, value) -> None:
+    """A ConfigError saying what value must be unless rule's test holds."""
+    ok, need = rule
+    if not ok(value):
+        raise ConfigError(f"{what} must be {need}")
+
+
+# Rules: (test, what a value must be); comparisons, not math.isfinite(),
+# as float() of a huge int overflows
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+_AT_LEAST_0 = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+_AT_LEAST_1 = (lambda v: 1 <= v < math.inf, "finite and >= 1")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_PATH = (lambda v: v and isinstance(v, str), "a file path")
+# event times are int64 ms, up to the clock plus the planning window
+_HOURS = (lambda h: 0 < h and h * MS_PER_HOUR < 2**62, "positive and below 2**62 ms")
+_SEEDS = (lambda v: isinstance(v, list) and v != []  # each type once
+          and all(_numeric(t, numbers.Integral) for t in set(map(type, v)))
+          and min(v) >= 0, "a non-empty list of integers >= 0")
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, f"one of {choices}")
+
+
+def _cell_id(cfg: ScenarioConfig, name: str, gx, gy) -> int:
+    """The row-major id of (gx, gy); a ConfigError naming the entry off the grid."""
+    if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
+        raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
+    return gy * cfg.grid_width + gx
 
 
 def _check_spike(cfg: ScenarioConfig, name: str, s):
-    """The spike's (start_ms, end_ms, multiplier, region, cells); a
-    ConfigError naming it unless it has its keys, finite hours with start <
-    end, a finite multiplier >= 1, and a region or (gx, gy) cells that
-    exist."""
+    """The spike's (start_ms, end_ms, multiplier, region, cell ids); a ConfigError
+    naming it unless it has its keys, finite hours with start < end, a finite
+    multiplier >= 1, and a region or (gx, gy) cells that exist."""
     try:
         start = hours_to_ms(float(s["start_hour"]))
         end = hours_to_ms(float(s["end_hour"]))
@@ -176,36 +106,28 @@ def _check_spike(cfg: ScenarioConfig, name: str, s):
                           "and 'region' or 'cells'") from exc
     if start >= end:
         raise ConfigError(f"{name}: start_hour must be before end_hour")
-    if not 1 <= mult < math.inf:
-        raise ConfigError(f"{name}: multiplier must be finite and >= 1")
+    _check(_AT_LEAST_1, f"{name}: multiplier", mult)
     if region is not None and region not in range(cfg.num_regions):
         raise ConfigError(f"{name}: region {region} is not in "
                           f"range(num_regions={cfg.num_regions})")
-    for gx, gy in cells:
-        if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
-            raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
-    return start, end, mult, region, cells
+    return start, end, mult, region, [_cell_id(cfg, name, *c) for c in cells]
 
 
 def _check_hotspot(cfg: ScenarioConfig, name: str, h):
-    """The hotspot's (gx, gy, rate_per_hour); a ConfigError naming it
-    unless gx, gy lie inside the grid and rate_per_hour is a finite number
-    >= 0."""
+    """The hotspot's (cell id, rate_per_hour); a ConfigError naming it unless
+    gx, gy lie inside the grid and rate_per_hour is finite and >= 0."""
     try:
         gx, gy, rate = int(h["gx"]), int(h["gy"]), float(h["rate_per_hour"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: needs gx, gy, rate_per_hour") from exc
-    if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
-        raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
-    if not 0 <= rate < math.inf:
-        raise ConfigError(f"{name}: rate_per_hour must be finite and >= 0")
-    return gx, gy, rate
+    cell = _cell_id(cfg, name, gx, gy)
+    _check(_AT_LEAST_0, f"{name}: rate_per_hour", rate)
+    return cell, rate
 
 
-def _check_failure(name: str, f) -> FailureEvent:
-    """The failure's event; a ConfigError naming it unless it has agent_id,
-    a finite start_hour, and a finite duration_hours of at least one
-    millisecond."""
+def _check_failure(cfg: ScenarioConfig, name: str, f) -> FailureEvent:
+    """The failure's event; a ConfigError naming it unless it has agent_id, a
+    finite start_hour and a finite duration_hours of at least 1 ms."""
     try:
         agent_id = int(f["agent_id"])
         start_ms = hours_to_ms(float(f["start_hour"]))
@@ -213,9 +135,78 @@ def _check_failure(name: str, f) -> FailureEvent:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: needs agent_id, finite start_hour "
                           "and duration_hours") from exc
-    if duration_ms <= 0:
-        raise ConfigError(f"{name}: duration_hours must be positive")
+    _check(_POSITIVE, f"{name}: duration_hours", duration_ms)
     return FailureEvent(agent_id, start_ms, duration_ms)
+
+
+def _key(rule, default=MISSING, *, default_factory=MISSING, entry=None):
+    """A field validate() checks: its value with rule, a list's entries with entry."""
+    return field(default=default, default_factory=default_factory,
+                 metadata={"rule": rule, "entry": entry})
+
+
+@dataclass
+class ScenarioConfig:
+    """A scenario's keys. validate() checks each in turn, its type and then
+    its field's rules (see _key), and then the rules across keys."""
+
+    grid_width: int = _key(_AT_LEAST_1)
+    grid_height: int = _key(_AT_LEAST_1)
+    depot_file: str = _key(_PATH)
+    cell_size_miles: float = _key(_POSITIVE, 1.0)
+    num_agents: int = _key(_AT_LEAST_1, 26)
+    num_regions: int = _key(_AT_LEAST_1, 5)
+    mode: str = _key(_one_of(sorted(m.value for m in PolicyMode)), "baseline")
+    test_bed: str = _key(_one_of(tuple(_TEST_BEDS)), "stationary")
+    seeds: list[int] = _key(_SEEDS, default_factory=lambda: [0, 1, 2, 3, 4])
+    horizon_hours: float = _key(_HOURS, 24.0)
+    partition_seed: int = _key(_AT_LEAST_0, 0)
+    # demand surface: uniform base plus optional hotspots, or a history file
+    base_rate_per_hour: float = _key(_AT_LEAST_0, 0.0)
+    hotspots: list[dict] = _key(_LIST, default_factory=list, entry=_check_hotspot)
+    history_file: str | None = _key(_PATH, None)
+    history_horizon_hours: float | None = _key(_POSITIVE, None)
+    service_minutes: float = _key(_POSITIVE, 20.0)
+    service_law: str = _key(_one_of(SERVICE_LAWS), "fixed")
+    spikes: list[dict] = _key(_LIST, default_factory=list, entry=_check_spike)
+    failures: list[dict] = _key(_LIST, default_factory=list, entry=_check_failure)
+    failure_file: str | None = _key(_PATH, None)
+    # planner hyper-parameters
+    mcts_iterations: int = _key(_AT_LEAST_1, 1000)
+    uct_c: float = _key(_AT_LEAST_0, 1.44)
+    discount: float = _key((lambda v: 0 < v <= 1, "in (0, 1]"), 0.99995)
+    n_samples: int = _key(_AT_LEAST_1, 50)
+    replan_minutes: float = _key(_POSITIVE, 60.0)
+    speed_mph: float = _key(_POSITIVE, 30.0)
+    planning_horizon_hours: float = _key(_HOURS, 2.0)
+    max_joint_actions: int = _key(_AT_LEAST_1, 10_000)
+
+    def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("None"):
+                continue
+            if f.type == "int" and not _numeric(type(value), numbers.Integral):
+                raise ConfigError(f"{f.name}: must be an integer, not {value!r}")
+            if f.type.startswith("float") and not _numeric(type(value)):
+                raise ConfigError(f"{f.name}: must be a number, not {value!r}")
+            _check(f.metadata["rule"], f"{f.name}:", value)
+            if f.metadata["entry"]:
+                for i, entry in enumerate(value):
+                    f.metadata["entry"](self, f"{f.name}[{i}]", entry)
+        if not (self.base_rate_per_hour > 0 or self.hotspots or self.history_file):
+            raise ConfigError("base_rate_per_hour: no demand: set "
+                              "base_rate_per_hour, hotspots, or history_file")
+        if self.history_file and self.history_horizon_hours is None:
+            raise ConfigError("history_horizon_hours: required with history_file")
+        needs = _TEST_BEDS[self.test_bed]
+        if needs and not any(getattr(self, key) for key in needs):
+            raise ConfigError(f"{needs[0]}: {self.test_bed} test bed requires "
+                              f"{' or '.join(needs)}")
+
+    @property
+    def eta_per_hour(self) -> float:
+        return 60.0 / self.service_minutes
 
 
 def load_config(path) -> ScenarioConfig:
@@ -223,12 +214,12 @@ def load_config(path) -> ScenarioConfig:
         raw = yaml.safe_load(f) or {}
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping")
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    keys = fields(ScenarioConfig)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in ("grid_width", "grid_height", "depot_file")
-               if k not in raw]
+    missing = [f.name for f in keys if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"missing required keys: {missing}")
     cfg = ScenarioConfig(**raw)
@@ -253,43 +244,70 @@ class Scenario:
     horizon_ms: int
 
 
-def _build_rates(cfg: ScenarioConfig, num_cells: int, width: int) -> np.ndarray:
+def _build_rates(cfg: ScenarioConfig, num_cells: int) -> np.ndarray:
     """Per-cell rates; a ConfigError unless some cell's rate is positive
     (a later hotspot on a cell replaces an earlier one's rate)."""
     if cfg.history_file:
-        history = load_history(_resolve(cfg, cfg.history_file), width,
+        history = load_history(_resolve(cfg, cfg.history_file), cfg.grid_width,
                                cfg.grid_height)
         rates = fit_rates(history, cfg.history_horizon_hours, num_cells).rates
     else:
         rates = np.full(num_cells, float(cfg.base_rate_per_hour))
         for i, h in enumerate(cfg.hotspots):
-            gx, gy, rate = _check_hotspot(cfg, f"hotspots[{i}]", h)
-            rates[gy * width + gx] = rate
+            cell, rate = _check_hotspot(cfg, f"hotspots[{i}]", h)
+            rates[cell] = rate
     if not rates.sum() > 0:
         raise ConfigError(f"{'history_file' if cfg.history_file else 'hotspots'}: "
                           "no demand, every cell's rate is 0")
     return rates
 
 
-def _build_spikes(cfg: ScenarioConfig, partition: RegionPartition,
-                  width: int) -> list[SpikeWindow]:
+def _build_spikes(cfg: ScenarioConfig, partition: RegionPartition) -> list[SpikeWindow]:
     """The config's spike windows."""
     spikes = []
     for i, s in enumerate(cfg.spikes):
         start_ms, end_ms, mult, region, cells = _check_spike(cfg, f"spikes[{i}]", s)
         if region is not None:
-            ids = frozenset(c for c, r in partition.cell_to_region.items()
-                            if r == region)
-        else:
-            ids = frozenset(gy * width + gx for gx, gy in cells)
-        spikes.append(SpikeWindow(cells=ids, start_ms=start_ms, end_ms=end_ms,
-                                  multiplier=mult))
+            cells = partition.cells_of(region)
+        spikes.append(SpikeWindow(cells=frozenset(cells), start_ms=start_ms,
+                                  end_ms=end_ms, multiplier=mult))
     return spikes
+
+
+# A chain's expected incidents must stay within this: each takes a few hundred
+# bytes of Python objects (1e8: tens of GB), a real city sees ~1e5 a year (the
+# paper's Nashville), and numpy's limits (a Poisson mean of ~9.2e18) lie far above.
+_MAX_CHAIN_INCIDENTS = 1e8
+
+
+def _check_demand(cfg: ScenarioConfig, rates: np.ndarray, spikes) -> None:
+    """A ConfigError unless the rates' sum times the largest product of
+    multipliers whose windows overlap times the longer horizon, a bound on
+    a chain's expected incident count, is within _MAX_CHAIN_INCIDENTS; it
+    names the key with the largest value behind those factors."""
+    peak = max((math.prod(w.multiplier for w in spikes
+                          if w.start_ms <= s.start_ms < w.end_ms) for s in spikes),
+               default=1.0)
+    hours = max(cfg.horizon_hours, cfg.planning_horizon_hours)
+    bound = float(rates.sum()) * peak * hours
+    if bound <= _MAX_CHAIN_INCIDENTS:
+        return
+    values = {"horizon_hours": cfg.horizon_hours,
+              "planning_horizon_hours": cfg.planning_horizon_hours,
+              **{f"spikes[{i}]": w.multiplier for i, w in enumerate(spikes)}}
+    if cfg.history_file:  # its rates are counts over history_horizon_hours
+        values["history_horizon_hours"] = float(rates.sum())
+    else:
+        values["base_rate_per_hour"] = cfg.base_rate_per_hour * len(rates)
+        values.update((f"hotspots[{i}]", float(h["rate_per_hour"]))
+                      for i, h in enumerate(cfg.hotspots))
+    raise ConfigError(f"{max(values, key=values.get)}: a chain may hold {bound:.3g} "
+                      f"incidents, more than {_MAX_CHAIN_INCIDENTS:.0e}")
 
 
 def _build_failures(cfg: ScenarioConfig) -> list[FailureEvent]:
     """The failure events of the config and of its failure file."""
-    failures = [_check_failure(f"failures[{i}]", f)
+    failures = [_check_failure(cfg, f"failures[{i}]", f)
                 for i, f in enumerate(cfg.failures)]
     if cfg.failure_file:
         failures.extend(load_failure_schedule(_resolve(cfg, cfg.failure_file)))
@@ -354,7 +372,7 @@ def load_history(path, width: int, height: int) -> list[tuple[int, int]]:
                   lambda t: aware in (None, t.utcoffset() is not None))
         aware = ts.utcoffset() is not None
         rows.append((ts, _cell(read, width, height)))
-    t0 = min((ts for ts, _cell_id in rows), default=None)
+    t0 = min((ts for ts, _ in rows), default=None)
     return [(cell, seconds_to_ms((ts - t0).total_seconds())) for ts, cell in rows]
 
 
@@ -381,10 +399,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if cfg.num_regions > len(depots):
         raise ConfigError(f"num_regions: {cfg.num_regions} exceeds the "
                           f"{len(depots)} depots (every region needs one)")
-    rates = _build_rates(cfg, len(cells), cfg.grid_width)
+    rates = _build_rates(cfg, len(cells))
     partition = partition_regions(cells, rates, depots, cfg.num_regions,
                                   cfg.partition_seed)
-    spikes = _build_spikes(cfg, partition, cfg.grid_width)
+    spikes = _build_spikes(cfg, partition)
+    _check_demand(cfg, rates, spikes)
     service = ServiceLaw(kind=cfg.service_law,
                          mean_ms=int(round(cfg.service_minutes * MS_PER_MINUTE)))
     model = DemandModel(rates=rates, spikes=spikes, service=service)
@@ -418,18 +437,15 @@ def initial_state(scenario: Scenario) -> SystemState:
     alloc = allocate_for_partition(world.partition, cfg.num_agents,
                                    eta=cfg.eta_per_hour)
     agents = []
-    next_id = 0
     for region in world.partition.regions():
         depots = sorted(world.depots_in(region),
                         key=lambda d: (-scenario.model.rates[d.cell], d.id))
         slots = [d for d in depots for _ in range(d.capacity)]
-        for i in range(alloc.counts[region]):
-            depot = slots[i]
+        for depot in slots[:alloc.counts[region]]:
             pos = world.depot_pos(depot.id)
-            agents.append(Agent(id=next_id, position=pos, destination=pos,
+            agents.append(Agent(id=len(agents), position=pos, destination=pos,
                                 status=AgentStatus.WAITING, region=region,
                                 depot=depot.id))
-            next_id += 1
     return SystemState(clock_ms=0, pending=[], agents=agents)
 
 
@@ -521,26 +537,20 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
     planner_seconds: list[float] = []
     fingerprints: dict[int, str] = {}
     per_seed: dict[int, dict] = {}
-    transfers = 0
-    pending = 0
     region_of = scenario.world.partition.cell_to_region
     placement = initial_state(scenario)  # the same for every seed
     for seed in cfg.seeds:
         chain = chain_for_seed(scenario, seed)
         fingerprints[seed] = chain_fingerprint(chain)
         state = placement.clone()
-        trace_file = None
-        if trace:
-            trace_file = open(os.path.join(out_dir, f"trajectory_seed{seed}.log"), "w")
-            trace_file.write("time_s,kind,agent_id,incident_id,detail\n")
-        coord = Coordinator(scenario.world, scenario.model, mode,
-                            planner=planner, seed=seed, trace=trace_file)
-        try:
+        with (open(os.path.join(out_dir, f"trajectory_seed{seed}.log"), "w")
+              if trace else contextlib.nullcontext()) as trace_file:
+            if trace_file:
+                trace_file.write("time_s,kind,agent_id,incident_id,detail\n")
+            coord = Coordinator(scenario.world, scenario.model, mode,
+                                planner=planner, seed=seed, trace=trace_file)
             result = coord.run(state, chain, scenario.horizon_ms,
                                failures=scenario.failures, observer=observer)
-        finally:
-            if trace_file is not None:
-                trace_file.close()
         records = sorted(result.records,
                          key=lambda r: (r.incident.report_time_ms, r.incident.id))
         _write_incidents(os.path.join(out_dir, f"incidents_seed{seed}.csv"),
@@ -548,41 +558,35 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
         rts = [r.response_s for r in records]
         all_rt.extend(rts)
         planner_seconds.extend(result.planner_seconds)
-        transfers += len(result.transfers)
-        pending += result.pending_at_end
-        per_seed[seed] = {
-            "n": len(rts),
-            "mean_rt_s": float(np.mean(rts)) if rts else 0.0,
-            "chain_incidents": len(chain.incidents),
-            "pending_at_end": result.pending_at_end,
-            "transfers": len(result.transfers),
-        }
+        per_seed[seed] = {"n": len(rts), "chain_incidents": len(chain.incidents),
+                          "mean_rt_s": float(np.mean(rts)) if rts else 0.0,
+                          "pending_at_end": result.pending_at_end,
+                          "transfers": len(result.transfers)}
 
     report = MetricsReport(mode=cfg.mode, response_times_s=all_rt,
                            planner_seconds=planner_seconds,
                            chain_fingerprints=fingerprints, per_seed=per_seed,
-                           transfers=transfers, pending_at_end=pending)
+                           transfers=sum(p["transfers"] for p in per_seed.values()),
+                           pending_at_end=sum(p["pending_at_end"]
+                                              for p in per_seed.values()))
     _write_summary(os.path.join(out_dir, "summary.csv"), report)
     _write_report_json(os.path.join(out_dir, "report.json"), cfg, report)
     return report
 
 
 def _write_summary(path, report: MetricsReport) -> None:
-    row = report.summary_dict()
+    row = report.summary_dict()  # its keys are the header
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["mode", "mean_rt_s", "q1", "q3", "iqr", "n",
-                         "planner_mean_s"])
-        writer.writerow([row["mode"], f"{row['mean_rt_s']:.3f}",
-                         f"{row['q1']:.3f}", f"{row['q3']:.3f}",
-                         f"{row['iqr']:.3f}", row["n"],
-                         f"{row['planner_mean_s']:.6f}"])
+        writer.writerow(row)
+        writer.writerow([f"{v:.6f}" if k == "planner_mean_s" else f"{v:.3f}"
+                         if isinstance(v, float) else v for k, v in row.items()])
 
 
 def _write_report_json(path, cfg: ScenarioConfig, report: MetricsReport) -> None:
     payload = {
         "mode": cfg.mode,
-        "config": {k: v for k, v in asdict(cfg).items()},
+        "config": asdict(cfg),
         "chain_fingerprints": {str(k): v for k, v in report.chain_fingerprints.items()},
         "summary": report.summary_dict(),
         "per_seed": {str(k): v for k, v in report.per_seed.items()},
@@ -602,10 +606,7 @@ def compare(report_paths, out_path=None) -> list[dict]:
     """
     if len(report_paths) < 2:
         raise ValueError("need at least two reports to compare")
-    loaded = []
-    for p in report_paths:
-        with open(p) as f:
-            loaded.append(json.load(f))
+    loaded = [json.loads(pathlib.Path(p).read_text()) for p in report_paths]
     reference = loaded[0]["chain_fingerprints"]
     for rep, path in zip(loaded[1:], list(report_paths)[1:]):
         if rep["chain_fingerprints"] != reference:
@@ -614,15 +615,11 @@ def compare(report_paths, out_path=None) -> list[dict]:
     rows = []
     for rep in loaded:
         s = rep["summary"]
-        rows.append({
-            "mode": s["mode"], "n": s["n"],
-            "mean_rt_s": round(s["mean_rt_s"], 3),
-            "q1": round(s["q1"], 3), "q3": round(s["q3"], 3),
-            "iqr": round(s["iqr"], 3),
-            "planner_mean_s": round(s["planner_mean_s"], 6),
-            "delta_mean_s": round(s["mean_rt_s"] - base["mean_rt_s"], 3),
-            "delta_q3_s": round(s["q3"] - base["q3"], 3),
-        })
+        rows.append({"mode": s["mode"], "n": s["n"],
+                     **{k: round(s[k], 3) for k in ("mean_rt_s", "q1", "q3", "iqr")},
+                     "planner_mean_s": round(s["planner_mean_s"], 6),
+                     "delta_mean_s": round(s["mean_rt_s"] - base["mean_rt_s"], 3),
+                     "delta_q3_s": round(s["q3"] - base["q3"], 3)})
     if out_path is not None:
         with open(out_path, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(rows[0]))

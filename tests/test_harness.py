@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -130,6 +131,8 @@ class TestConfig:
         ("history_horizon_hours", "12"),
         ("seeds", [1, "2"]),
         ("seeds", 3),
+        ("failure_file", 5),            # a TypeError from os.path
+        ("spikes", 5),                  # TypeError: not iterable
     ])
     def test_value_of_wrong_type_named(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: must be"):
@@ -147,6 +150,8 @@ class TestConfig:
         ("uct_c", -0.5),
         ("base_rate_per_hour", -0.5),
         ("base_rate_per_hour", float("nan")),
+        ("seeds", [1, -1]),                   # numpy: expected non-negative integer
+        ("partition_seed", -1),
     ])
     def test_value_out_of_range_named(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: must be"):
@@ -175,6 +180,17 @@ class TestConfig:
         (dict(base_rate_per_hour=0.0, hotspots=[dict(gx=0, gy=0, rate_per_hour=1.0),
                                                 dict(gx=0, gy=0, rate_per_hour=0.0)]),
          "hotspots"),
+        # too many incidents expected in a chain; numpy's "lam value too
+        # large" in a run of each of the next two, "array is too big" in
+        # one of the third, a MemoryError ("4.16 EiB") in one of the fourth
+        (dict(hotspots=[dict(gx=1, gy=1, rate_per_hour=1e300)]), r"hotspots\[0\]"),
+        (dict(spikes=[dict(region=0, start_hour=1.0, end_hour=2.0, multiplier=1e300)]),
+         r"spikes\[0\]"),
+        (dict(spikes=[dict(region=0, start_hour=1.0, end_hour=3.0, multiplier=1e10),
+                      dict(region=0, start_hour=2.0, end_hour=4.0, multiplier=1e10)]),
+         r"spikes\[0\]"),
+        (dict(base_rate_per_hour=1e17), "base_rate_per_hour"),
+        (dict(horizon_hours=1e11), "horizon_hours"),  # ~3e11 incidents, never run
     ])
     def test_out_of_range_fails_at_load(self, tmp_path, monkeypatch, overrides, named):
         monkeypatch.chdir(tmp_path)
@@ -182,6 +198,18 @@ class TestConfig:
             "agent_id,start_time_s,duration_s\n0,inf,60\n")
         with pytest.raises(ConfigError, match=rf"^{named}[: ]"):
             build_scenario(tiny_config(tmp_path, **overrides))
+
+    def test_demand_bound_multiplies_only_overlapping_spikes(self, tmp_path):
+        spike = dict(region=0, start_hour=1.0, end_hour=2.0, multiplier=1e4)
+        build_scenario(tiny_config(tmp_path, spikes=[spike, dict(
+            spike, start_hour=2.0, end_hour=3.0)]))
+        with pytest.raises(ConfigError, match=r"^spikes\[0\]: a chain may hold"):
+            build_scenario(tiny_config(tmp_path, spikes=[spike, dict(
+                spike, start_hour=1.5, end_hour=3.0)]))
+
+    def test_every_key_has_a_rule(self):
+        for f in fields(ScenarioConfig):  # every int and float key among them
+            assert "rule" in f.metadata, f"{f.name} declares no rule"
 
     def test_quoted_number_in_yaml_named(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -267,6 +295,15 @@ class TestScenario:
     def test_more_regions_than_depots_named(self, tmp_path):
         cfg = tiny_config(tmp_path, num_regions=5)
         with pytest.raises(ConfigError, match=r"num_regions: 5 exceeds the 4 depots"):
+            build_scenario(cfg)
+
+    def test_history_rates_bounded(self, tmp_path):
+        hist = tmp_path / "history.csv"
+        hist.write_text("incident_id,timestamp_iso8601,gx,gy\n"
+                        "0,2024-01-01T00:00:00,1,1\n")
+        cfg = tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
+                          history_file=str(hist), history_horizon_hours=1e-300)
+        with pytest.raises(ConfigError, match=r"^history_horizon_hours: a chain"):
             build_scenario(cfg)
 
     def test_history_horizon_must_be_positive(self, tmp_path):
