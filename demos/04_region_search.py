@@ -15,6 +15,13 @@ world = scenario.world
 state = initial_state(scenario)
 region = 2  # southern region: 3 agents, 4 depots
 
+
+
+def fmt(assignment):
+    """An assignment tuple ((agent, depot), ...) as a0->d1;a2->d3, () as pass."""
+    return ";".join(f"a{a}->d{d}" for a, d in assignment) or "pass"
+
+
 rs = decompose(state, region, world)
 idle = rs.state.idle_agents()
 print(f"=== region {region} ===")
@@ -38,19 +45,20 @@ for i in range(4):
               f"any allocation scores alike")
         continue
     best = min(result.scores, key=result.scores.get)
-    print(f"  chain {i} ({len(chain):2d} incidents): best {best} "
+    print(f"  chain {i} ({len(chain):2d} incidents): best {fmt(best)} "
           f"at {result.scores[best]:8.1f}")
     for action, score in result.scores.items():
         maps.setdefault(action, []).append(score)
 
 print("\nroot-parallel averages over the 4 chains (top five actions):")
-means = sorted(((float(np.mean(v)), a) for a, v in maps.items()),
-               key=lambda pair: (pair[0], pair[1].assignment))
+means = sorted((float(np.mean(v)), a) for a, v in maps.items())
 for mean, action in means[:5]:
-    print(f"  {str(action):22s} {mean:8.1f}")
+    print(f"  {fmt(action):22s} {mean:8.1f}")
 
 plans = plan_region_allocations(state, world, scenario.model, params,
                                 n_samples=4, seed=42, regions=[region])
-print(f"\nplanner recommendation for region {region}: {plans[region].action}")
+action = plans[region].action
+print(f"\nplanner recommendation for region {region}: "
+      f"{'keep' if action is None else fmt(action)}")
 print("(agents repositioned toward the hotspots' depots; ties prefer the "
       "least added travel)")

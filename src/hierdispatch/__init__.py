@@ -15,10 +15,8 @@ from .harness import (ChainMismatch, MetricsReport, ScenarioConfig,
                       build_scenario, compare, initial_state, load_config,
                       run_experiment)
 from .highlevel import Allocation, allocate, allocate_for_partition
-from .lowlevel import (ActionScoreMap, AllocationAction, MCTSParams,
-                       MCTSResult, RegionState, decompose, enumerate_actions,
-                       joint_action_count, mcts_search, plan_region_allocations,
-                       rollout)
+from .lowlevel import (MCTSParams, MCTSResult, RegionState, decompose,
+                       joint_action_count, mcts_search, plan_region_allocations)
 from .queueing import QueueParams, Unstable, mean_wait, p0, wait_probability
 from .simulator import (Agent, AgentBusy, AgentStatus, DepotFull, SystemState,
                         UnknownIncident, UnknownRegion, advance, assign_depot,

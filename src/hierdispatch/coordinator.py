@@ -13,7 +13,10 @@ responder failures. Planner policy by mode (the config's `mode`):
 
 An agent that fails mid-response finishes its current incident; the
 failure window only blocks new dispatches and excludes it from
-allocation during [start, start + duration).
+allocation during [start, start + duration), its first millisecond
+included: EventKind orders the events of one millisecond, failures
+first. A region's low-level plan is an assignment tuple ((agent id,
+depot id), ...), applied as it is; the pass () and None change nothing.
 """
 
 from __future__ import annotations
@@ -45,13 +48,15 @@ class PolicyMode(Enum):
 
 class EventKind(IntEnum):
     """Event kinds; the integer value is the tie-break priority at equal
-    timestamps (freed and recovered agents become dispatchable before a
-    simultaneous incident is handled; planning settles last)."""
+    timestamps. A failure comes first, so its window blocks the agent
+    for its whole first millisecond, as Agent.is_failed reads it; then
+    freed and recovered agents become dispatchable before a simultaneous
+    incident is handled; planning settles last."""
 
-    AGENT_AVAILABLE = 0
-    AGENT_RECOVERY = 1
-    INCIDENT_OCCURRENCE = 2
-    AGENT_FAILURE = 3
+    AGENT_FAILURE = 0
+    AGENT_AVAILABLE = 1
+    AGENT_RECOVERY = 2
+    INCIDENT_OCCURRENCE = 3
     PLANNING_STEP = 4
 
 
@@ -226,9 +231,8 @@ class Coordinator:
             n_samples=self.planner.n_samples,
             seed=(self.seed, self._decision_index), pool=self._pool)
         for region in sorted(plans):
-            action = plans[region].action
-            if action is not None and action.assignment:
-                apply_allocation(state, action.assignment, self.world)
+            if plans[region].action:
+                apply_allocation(state, plans[region].action, self.world)
 
     def maybe_replan(self, state: SystemState, trigger: str,
                      result: RunResult) -> bool:

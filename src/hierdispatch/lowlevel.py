@@ -39,21 +39,6 @@ from .spatial import Depot, World
 from .units import MS_PER_HOUR
 
 
-@dataclass(frozen=True)
-class AllocationAction:
-    """Joint depot assignment for a region's idle agents."""
-
-    assignment: tuple[tuple[int, int], ...]  # (agent_id, depot_id), agent-sorted
-
-    def __str__(self):
-        if not self.assignment:
-            return "pass"
-        return ";".join(f"a{a}->d{d}" for a, d in self.assignment)
-
-    def travel_distance(self, state: SystemState, world: World) -> float:
-        return _travel(self.assignment, {a.id: a.position for a in state.agents}, world)
-
-
 def _travel(assignment, positions: dict, world: World) -> float:
     """Miles of the assignment's moves, summed in its order; positions by agent id."""
     total = 0.0
@@ -62,9 +47,6 @@ def _travel(assignment, positions: dict, world: World) -> float:
         dest = world.depot_pos(depot_id)
         total += math.hypot(dest[0] - pos[0], dest[1] - pos[1])
     return total
-
-
-PASS = AllocationAction(())
 
 
 @dataclass
@@ -109,9 +91,10 @@ def _free_slots(rs: RegionState, idle_ids: set[int],
 
 def _joint_choices(rs: RegionState, max_joint: int):
     """The region's joint allocations as (agent ids, depot tuples): action
-    i is AllocationAction(tuple(zip(ids, depot_tuples[i]))). None when
-    their count would exceed max_joint, and ((), [()]), PASS alone, when
-    there is nothing to decide."""
+    i is the assignment tuple(zip(ids, depot_tuples[i])) of (agent id,
+    depot id) pairs, agent-sorted. None when their count would exceed
+    max_joint, and ((), [()]), the pass () alone, when there is nothing
+    to decide."""
     idle = sorted(a.id for a in rs.state.idle_agents())
     slots = _free_slots(rs, set(idle)) if idle else {}
     free = sum(slots.values())
@@ -126,20 +109,6 @@ def _joint_choices(rs: RegionState, max_joint: int):
     if max(slots.values()) > 1:
         perms = dict.fromkeys(perms)
     return tuple(idle), list(perms)
-
-
-def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
-    """All feasible joint allocations for the region's idle agents.
-
-    Returns a list of AllocationAction, or None when the joint count would
-    exceed max_joint (callers then decompose the decision per agent).
-    Returns [PASS] when there is nothing to decide.
-    """
-    choices = _joint_choices(rs, max_joint)
-    if choices is None:
-        return None
-    ids, depot_tuples = choices
-    return [AllocationAction(tuple(zip(ids, depots))) for depots in depot_tuples]
 
 
 def apply_allocation(state: SystemState, assignment, world: World) -> None:
@@ -209,23 +178,6 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
             return cost, pos, pos >= n
 
 
-def rollout(rs: RegionState, chain_tail: IncidentChain, horizon_ms: int,
-            alpha: float, world: World, origin_ms: int | None = None) -> float:
-    """Default-policy playout: greedy dispatch, no redistribution.
-
-    horizon_ms is an absolute cutoff; origin_ms anchors the discount
-    exponent (defaults to the state's clock).
-    """
-    if horizon_ms < rs.state.clock_ms:
-        raise ValueError("horizon precedes the state clock")
-    t0 = rs.state.clock_ms if origin_ms is None else origin_ms
-    state = rs.state.clone()
-    incidents = [i for i in chain_tail.incidents if i.report_time_ms >= state.clock_ms]
-    cost, _pos, _done = _play(state, incidents, 0, world, alpha, t0, horizon_ms,
-                              stop_after_incident=False)
-    return cost
-
-
 class SearchNode:
     """One decision epoch (or one per-agent assignment level) in the tree.
     Nodes link only to their children: a dropped tree holds no reference
@@ -272,24 +224,10 @@ class MCTSParams:
 
 @dataclass
 class MCTSResult:
-    scores: dict[AllocationAction, float]  # mean discounted cost per root action
+    scores: dict[tuple, float]  # mean discounted cost per root assignment
     root: SearchNode
     iterations: int
     decomposed: bool = False
-
-
-@dataclass
-class ActionScoreMap:
-    """Per-action scores across sampled chains (one entry per tree), keyed
-    by assignment tuple: cheaper to pickle and hash than AllocationAction."""
-
-    scores: dict[tuple, list[float]] = field(default_factory=dict)
-
-    def add(self, assignment: tuple, score: float) -> None:
-        self.scores.setdefault(assignment, []).append(score)
-
-    def means(self) -> dict[tuple, float]:
-        return {a: sum(v) / len(v) for a, v in self.scores.items()}
 
 
 def _in_window(chain: IncidentChain, t0_ms: int, horizon_ms: int) -> list[Incident]:
@@ -351,8 +289,8 @@ class _Tree:
     def _expand(self, node: SearchNode) -> SearchNode:
         action = node.untried.pop(0)
         if node.to_assign is None:
-            action = AllocationAction(tuple(zip(node.idle_ids, action)))
-            return self._make_epoch_child(node, action, action.assignment)
+            action = tuple(zip(node.idle_ids, action))
+            return self._make_epoch_child(node, action, action)
         partial = node.partial + (action,)
         if len(partial) == len(node.to_assign):
             return self._make_epoch_child(node, action, partial)
@@ -440,7 +378,7 @@ class _Tree:
                 node.visits += 1
                 node.utility_sum -= total
 
-    def best_descent(self) -> AllocationAction:
+    def best_descent(self) -> tuple:
         """Complete assignment along best mean-cost children (decomposed mode).
 
         Levels the search never reached fall back to the first depot with a
@@ -457,12 +395,13 @@ class _Tree:
                 break  # an epoch node, which may itself assign one at a time
         probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
                            to_assign=self.root.to_assign, partial=tuple(pairs))
-        return AllocationAction(self._complete_partial(probe))
+        return self._complete_partial(probe)
 
 
 def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
                 params: MCTSParams, root_choices=...) -> MCTSResult:
-    """Score the region's root allocation actions against one chain.
+    """Score the region's root allocation actions against one chain,
+    keyed by assignment tuple ((agent id, depot id), ...), () the pass.
 
     The environment is deterministic given the chain, so the search
     itself is deterministic. Regions with no idle agents need no decision
@@ -585,14 +524,14 @@ class TreePool:
 
     def _search(self, rs: RegionState, i: int, seed, params: MCTSParams,
                 choices: dict) -> dict:
-        """The scores of the tree on rs's chain i, keyed by assignment tuple,
+        """The scores of the tree on rs's chain i, as mcts_search gives them,
         the chain sampled here from the region's restricted model; {} when
         no incident of the chain falls in [clock, clock + horizon), as every
         action would score alike. choices holds root choices by region,
         worked out on first use and shared by the region's trees. A root
-        with one depot tuple (PASS included) scores {that assignment: 0.0}
-        without a tree: the region has no other action, so that 0.0 is
-        never compared with another score.
+        with one depot tuple (the pass () included) scores {that
+        assignment: 0.0} without a tree: the region has no other action,
+        so that 0.0 is never compared with another score.
         """
         t0 = rs.state.clock_ms
         key = np.random.SeedSequence(entropy=seed, spawn_key=(rs.region, i))
@@ -605,8 +544,7 @@ class TreePool:
         root = choices[rs.region]
         if root is not None and len(root[1]) == 1:
             return {tuple(zip(root[0], root[1][0])): 0.0}
-        scores = mcts_search(rs, chain, self.world, params, root_choices=root).scores
-        return {action.assignment: score for action, score in scores.items()}
+        return mcts_search(rs, chain, self.world, params, root_choices=root).scores
 
     def run(self, tasks, params: MCTSParams, seed) -> list:
         """Each (region state, sample index) task's scores, in task order;
@@ -657,8 +595,8 @@ class TreePool:
 @dataclass
 class RegionPlan:
     region: int
-    action: AllocationAction | None  # None: keep current assignment
-    score_map: ActionScoreMap = field(default_factory=ActionScoreMap)  # tuple keys
+    action: tuple | None  # the chosen assignment; None: keep the current one
+    scores: dict[tuple, list[float]] = field(default_factory=dict)  # one per tree
 
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
@@ -673,8 +611,10 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     cells. seed is an int or tuple of ints (SeedSequence entropy); the
     per-chain streams are derived from it, so the whole plan is
     reproducible. Ties on mean score prefer the action with the least
-    added travel, then the lexicographically smallest assignment. Regions
-    with no idle agents get action None.
+    added travel, then the lexicographically smallest assignment. Actions
+    are assignment tuples, as mcts_search keys them: a plan's action is
+    one, and its scores map each to the score of every tree that scored
+    it. Regions with no idle agents get action None.
 
     Every region with idle agents becomes n_samples (region state, sample
     index) tasks, and TreePool._search does each task's work: it samples
@@ -704,18 +644,17 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
             continue
         tasks.extend((rs, i) for i in range(n_samples))
     for (rs, _i), scores in zip(tasks, pool.run(tasks, params, seed)):
-        add = plans[rs.region].score_map.add
+        plan_scores = plans[rs.region].scores
         for assignment, score in scores.items():
-            add(assignment, score)
+            plan_scores.setdefault(assignment, []).append(score)
     for rs in {rs.region: rs for rs, _i in tasks}.values():
         plan = plans[rs.region]
-        means = plan.score_map.means()
-        if not means:
+        if not plan.scores:
             continue
+        means = {a: sum(v) / len(v) for a, v in plan.scores.items()}
         # the (mean, travel, assignment) minimum; travel only for the tied
         best = min(means.values())
         positions = {a.id: a.position for a in rs.state.agents}
-        plan.action = AllocationAction(min(
-            (a for a in means if means[a] == best),
-            key=lambda a: (_travel(a, positions, world), a)))
+        plan.action = min((a for a in means if means[a] == best),
+                          key=lambda a: (_travel(a, positions, world), a))
     return plans

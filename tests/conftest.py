@@ -6,6 +6,7 @@ import pytest
 
 from hierdispatch import (Agent, AgentStatus, Depot, SystemState, TravelModel,
                           World, make_grid, partition_regions)
+from hierdispatch.lowlevel import _joint_choices
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +51,14 @@ def waiting_agent(world, agent_id, depot_id, region=None):
         region = world.region_of_cell(world.depot(depot_id).cell)
     return Agent(id=agent_id, position=pos, destination=pos,
                  status=AgentStatus.WAITING, region=region, depot=depot_id)
+
+
+def joint_actions(rs, max_joint=10_000):
+    """The assignment tuples _joint_choices(rs, max_joint) describes, in
+    its order; None when their count exceeds max_joint."""
+    choices = _joint_choices(rs, max_joint)
+    return None if choices is None else [tuple(zip(choices[0], depots))
+                                         for depots in choices[1]]
 
 
 def fresh_state(world, depot_ids, clock_ms=0):

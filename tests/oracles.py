@@ -14,9 +14,8 @@ import math
 import numpy as np
 
 from hierdispatch.demand import Incident, IncidentChain, _segments
-from hierdispatch.lowlevel import (PASS, AllocationAction, RegionPlan,
-                                   SearchNode, _free_slots, _Tree, decompose,
-                                   mcts_search, sample_chain)
+from hierdispatch.lowlevel import (RegionPlan, SearchNode, _free_slots, _travel,
+                                   _Tree, decompose, mcts_search, sample_chain)
 from hierdispatch.queueing import QueueParams, _check_stable
 from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
                                     UnknownIncident)
@@ -270,29 +269,30 @@ def greedy_dispatch_pending(state: SystemState, world: World) -> list[dict]:
 def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
     """All feasible joint allocations for the region's idle agents.
 
-    Returns a list of AllocationAction, or None when the joint count would
-    exceed max_joint (callers then decompose the decision per agent).
-    Returns [PASS] when there is nothing to decide.
+    Returns a list of assignment tuples ((agent_id, depot_id), ...), or
+    None when the joint count would exceed max_joint (callers then
+    decompose the decision per agent). Returns [()], the pass alone, when
+    there is nothing to decide.
     """
     idle = sorted(rs.state.idle_agents(), key=lambda a: a.id)
     if not idle:
-        return [PASS]
+        return [()]
     slots = _free_slots(rs, {a.id for a in idle})
     free = sum(slots.values())
     if free < len(idle):
-        return [PASS]  # no feasible reshuffle; leave assignments alone
+        return [()]  # no feasible reshuffle; leave assignments alone
     bound = 1
     for i in range(len(idle)):
         bound *= free - i
         if bound > max_joint:
             return None
-    actions: list[AllocationAction] = []
+    actions: list[tuple] = []
     depot_ids = sorted(slots)
     partial: list[tuple[int, int]] = []
 
     def dfs(i):
         if i == len(idle):
-            actions.append(AllocationAction(tuple(partial)))
+            actions.append(tuple(partial))
             return
         for d in depot_ids:
             if slots[d] > 0:
@@ -416,19 +416,19 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                                  start_ms=state.clock_ms)
             result = search(rs, chain, world, params)
             for action, score in result.scores.items():
-                plan.score_map.add(action, score)
-        means = plan.score_map.means()
+                plan.scores.setdefault(action, []).append(score)
+        means = {a: sum(v) / len(v) for a, v in plan.scores.items()}
         if not means:
             continue
         # the (mean, travel, assignment) minimum; travel only for the tied
         best = min(means.values())
+        positions = {a.id: a.position for a in rs.state.agents}
         plan.action = min((a for a in means if means[a] == best),
-                          key=lambda a: (a.travel_distance(rs.state, world),
-                                         a.assignment))
+                          key=lambda a: (_travel(a, positions, world), a))
     return plans
 
 
-def best_descent(self) -> AllocationAction:
+def best_descent(self) -> tuple:
     """_Tree.best_descent before it lost its stop at the root's last agent,
     kept verbatim; plan_region_allocations above searches with it."""
     pairs: list[tuple[int, int]] = []
@@ -444,8 +444,8 @@ def best_descent(self) -> AllocationAction:
         probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
                            to_assign=self.root.to_assign,
                            partial=tuple(pairs))
-        return AllocationAction(self._complete_partial(probe))
-    return AllocationAction(tuple(pairs))
+        return self._complete_partial(probe)
+    return tuple(pairs)
 
 
 def search(rs, chain, world, params):

@@ -150,9 +150,9 @@ class TestFailures:
 class TestEventOrder:
     """Ties at one millisecond are settled by event kind."""
 
-    def test_incident_before_failure_at_same_ms(self, line_world):
-        # the report is handled before the failure window opens, so the
-        # agent takes the incident instead of waiting out its window
+    def test_failure_before_incident_at_same_ms(self, line_world):
+        # the failure window opens before the report is handled, so the
+        # window blocks its first millisecond too: the incident waits it out
         coord = make_coord(line_world)
         state = fresh_state(line_world, [0])
         inc = incident(0, cell=5, report_ms=10 * MS_PER_MINUTE)
@@ -161,8 +161,9 @@ class TestEventOrder:
         result = coord.run(state, chain(inc), horizon_ms=4 * MS_PER_HOUR,
                            failures=[fail])
         [rec] = result.records
-        assert (rec.agent_id, rec.dispatch_ms) == (0, 10 * MS_PER_MINUTE)
-        assert rec.response_s == pytest.approx(600.0)  # five miles at 30 mph
+        assert (rec.agent_id, rec.dispatch_ms) == (0, 70 * MS_PER_MINUTE)
+        # the hour-long window, then five miles at 30 mph
+        assert rec.response_s == pytest.approx(3600.0 + 600.0)
         agent = state.agent(0)  # served and back home: nothing outstanding
         assert agent.status is AgentStatus.WAITING and agent.incident is None
 

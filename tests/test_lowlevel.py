@@ -5,17 +5,16 @@ import numpy as np
 import oracles
 import pytest
 
-from hierdispatch import (AllocationAction, DemandModel, Incident,
-                          IncidentChain, MCTSParams, SystemState,
-                          enumerate_actions, joint_action_count, mcts_search,
-                          plan_region_allocations, rollout)
+from hierdispatch import (DemandModel, Incident, IncidentChain, MCTSParams,
+                          SystemState, joint_action_count, mcts_search,
+                          plan_region_allocations)
 from hierdispatch import lowlevel
-from hierdispatch.lowlevel import (PASS, RegionState, SearchNode, _play, _Tree,
+from hierdispatch.lowlevel import (RegionState, SearchNode, _play, _Tree,
                                    apply_allocation, decompose)
 from hierdispatch.simulator import AgentStatus
 from hierdispatch.units import MS_PER_HOUR, MS_PER_MINUTE
 
-from conftest import build_world, fresh_state, waiting_agent
+from conftest import build_world, fresh_state, joint_actions, waiting_agent
 
 
 def incident(inc_id, cell, report_ms, service_ms=20 * MS_PER_MINUTE):
@@ -30,6 +29,13 @@ def region_state(world, depot_ids, clock_ms=0):
 
 def chain(*incidents, horizon_ms=2 * MS_PER_HOUR):
     return IncidentChain(incidents=list(incidents), horizon_ms=horizon_ms)
+
+
+def playout(rs, c, end_ms, alpha, world):
+    """Default-policy cost of chain c from rs's clock to end_ms: greedy
+    dispatch, no redistribution, discounted from the clock."""
+    return _play(rs.state.clone(), c.incidents, 0, world, alpha,
+                 rs.state.clock_ms, end_ms, False)[0]
 
 
 class TestUCB:
@@ -68,10 +74,12 @@ class TestUCB:
 
 
 class TestEnumerateActions:
+    """The root actions _joint_choices lists, as assignment tuples."""
+
     def test_count_matches_permutations(self, line_world):
         # 1 idle agent, 2 unit depots -> P(2,1) = 2 actions
         rs = region_state(line_world, [0])
-        assert len(enumerate_actions(rs)) == joint_action_count(2, 1) == 2
+        assert len(joint_actions(rs)) == joint_action_count(2, 1) == 2
 
     def test_city_scale_counts(self):
         assert joint_action_count(6, 4) == 360
@@ -80,10 +88,9 @@ class TestEnumerateActions:
     def test_three_depots_two_agents(self):
         world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
         rs = region_state(world, [0, 1])
-        actions = enumerate_actions(rs)
+        actions = joint_actions(rs)
         assert len(actions) == joint_action_count(3, 2) == 6
-        current = AllocationAction(((0, 0), (1, 1)))
-        assert current in actions
+        assert ((0, 0), (1, 1)) in actions  # the current assignment
 
     def test_busy_agents_reserve_slots(self, line_world):
         rs = region_state(line_world, [0, 1])
@@ -94,21 +101,19 @@ class TestEnumerateActions:
         dispatch(rs.state, 1, inc, line_world)
         # agent 1 responding: only agent 0 is reallocatable, and depot 1
         # stays reserved for agent 1's return
-        actions = enumerate_actions(rs)
-        assert actions == [AllocationAction(((0, 0),))]
+        assert joint_actions(rs) == [((0, 0),)]
 
     def test_no_idle_yields_pass(self, line_world):
         rs = region_state(line_world, [0])
         rs.state.agents[0].failure_window = (0, 10)
-        assert enumerate_actions(rs) == [PASS]
+        assert joint_actions(rs) == [()]  # the pass
 
     def test_capacity_two_allows_sharing(self):
         world = build_world(depot_xy=((0, 0), (9, 0)), capacity=2)
         rs = region_state(world, [0, 1])
-        actions = enumerate_actions(rs)
+        actions = joint_actions(rs)
         # 4 slots, 2 agents, slots are per depot: 2*2 choices minus nothing
-        both_at_0 = AllocationAction(((0, 0), (1, 0)))
-        assert both_at_0 in actions
+        assert ((0, 0), (1, 0)) in actions  # both at depot 0
         assert len(actions) == 4
 
     def test_reserved_slot_beside_shared_depot(self):
@@ -119,12 +124,12 @@ class TestEnumerateActions:
         for agent in rs.state.agents[:2]:
             agent.status = AgentStatus.SERVICING
             agent.busy_until = 10 ** 9
-        assert enumerate_actions(rs) == [AllocationAction(((2, 1), (3, 1)))]
+        assert joint_actions(rs) == [((2, 1), (3, 1))]
 
     def test_over_limit_returns_none(self):
         world = build_world(depot_xy=tuple((x, 0) for x in range(8)), width=10)
         rs = region_state(world, list(range(6)))
-        assert enumerate_actions(rs, max_joint=100) is None
+        assert joint_actions(rs, max_joint=100) is None
 
 
 class TestApplyAllocation:
@@ -153,20 +158,20 @@ class TestApplyAllocation:
 class TestRollout:
     def test_empty_chain_zero(self, line_world):
         rs = region_state(line_world, [0])
-        cost = rollout(rs, chain(), 2 * MS_PER_HOUR, 0.99995, line_world)
+        cost = playout(rs, chain(), 2 * MS_PER_HOUR, 0.99995, line_world)
         assert cost == 0.0
 
     def test_single_incident_five_miles(self, line_world):
         rs = region_state(line_world, [0])
         c = chain(incident(0, cell=5, report_ms=0))
-        cost = rollout(rs, c, 2 * MS_PER_HOUR, 0.99995, line_world)
+        cost = playout(rs, c, 2 * MS_PER_HOUR, 0.99995, line_world)
         assert cost == pytest.approx(600.0)
 
     def test_discounted_contribution(self, line_world):
         rs = region_state(line_world, [0])
         c = chain(incident(0, cell=5, report_ms=3600_000),
                   horizon_ms=2 * MS_PER_HOUR)
-        cost = rollout(rs, c, 2 * MS_PER_HOUR, 0.99995, line_world)
+        cost = playout(rs, c, 2 * MS_PER_HOUR, 0.99995, line_world)
         assert cost == pytest.approx(600.0 * 0.99995 ** 3600, rel=1e-9)
 
     def test_queued_incident_costed_when_agent_frees(self, line_world):
@@ -174,7 +179,7 @@ class TestRollout:
         rs = region_state(line_world, [0])
         c = chain(incident(0, cell=0, report_ms=0, service_ms=600_000),
                   incident(1, cell=0, report_ms=60_000, service_ms=600_000))
-        cost = rollout(rs, c, 2 * MS_PER_HOUR, 1.0, line_world)
+        cost = playout(rs, c, 2 * MS_PER_HOUR, 1.0, line_world)
         # first: response 0; second: dispatched at 600000 when service ends,
         # queue delay 540 s, travel 0
         assert cost == pytest.approx(540.0)
@@ -182,7 +187,7 @@ class TestRollout:
     def test_horizon_truncates(self, line_world):
         rs = region_state(line_world, [0])
         c = chain(incident(0, cell=5, report_ms=MS_PER_HOUR))
-        cost = rollout(rs, c, MS_PER_HOUR // 2, 1.0, line_world)
+        cost = playout(rs, c, MS_PER_HOUR // 2, 1.0, line_world)
         assert cost == 0.0
 
 
@@ -213,13 +218,11 @@ class TestMCTSSearch:
         world, rs, c = bandit_world()
         params = MCTSParams(iterations=1000)
         res = mcts_search(rs, c, world, params)
-        stay = AllocationAction(((0, 0),))
-        move = AllocationAction(((0, 1),))
-        assert res.scores[stay] < res.scores[move]
+        assert res.scores[((0, 0),)] < res.scores[((0, 1),)]  # stay, move
         # oracle: evaluate both root actions under the deterministic rollout
         for action, score in res.scores.items():
             s = rs.state.clone()
-            apply_allocation(s, action.assignment, world)
+            apply_allocation(s, action, world)
             cost, _, _ = _play(s, c.incidents, 0, world, params.discount,
                                rs.state.clock_ms,
                                rs.state.clock_ms + params.horizon_ms, False)
@@ -228,10 +231,9 @@ class TestMCTSSearch:
     def test_two_armed_bandit_selection_rate(self):
         world, rs, c = bandit_world()
         res = mcts_search(rs, c, world, MCTSParams(iterations=200))
-        stay = AllocationAction(((0, 0),))
         visits = {a: n.visits for a, n in res.root.children.items()}
-        # burn-in: one forced visit per arm; then >= 95% go to the best arm
-        assert visits[stay] - 1 >= 0.95 * (200 - 2)
+        # burn-in: one forced visit per arm; then >= 95% go to staying
+        assert visits[((0, 0),)] - 1 >= 0.95 * (200 - 2)
 
     def test_visit_count_conservation(self):
         world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
@@ -259,7 +261,7 @@ class TestMCTSSearch:
         rs = region_state(world, [0, 3])
         c = chain(incident(0, 5, 10 * MS_PER_MINUTE),
                   incident(1, 1, 50 * MS_PER_MINUTE))
-        actions = enumerate_actions(rs)
+        actions = joint_actions(rs)
         assert len(actions) == 20
         res = mcts_search(rs, c, world, MCTSParams(iterations=7))
         assert list(res.root.children) == actions[:7]
@@ -287,7 +289,7 @@ class TestMCTSSearch:
         assert v1 == v2
         best1 = min(res1.scores, key=res1.scores.get)
         best2 = min(res2.scores, key=res2.scores.get)
-        assert best1 == best2 == AllocationAction(((0, 0),))
+        assert best1 == best2 == ((0, 0),)
 
     def test_finished_tree_leaves_no_garbage(self):
         # nodes link only to their children: dropping the result frees the
@@ -318,11 +320,10 @@ def expectimax_value(rs, incidents, world, params):
 
     def value(state, pos):
         view = RegionState(rs.region, state, rs.depots)
-        actions = enumerate_actions(view, params.max_joint_actions)
         best = math.inf
-        for action in actions:
+        for action in joint_actions(view, params.max_joint_actions):
             s = state.clone()
-            apply_allocation(s, action.assignment, world)
+            apply_allocation(s, action, world)
             cost, new_pos, done = _play(s, incidents, pos, world,
                                         params.discount, t0, end_ms, True)
             v = cost if done else cost + value(s, new_pos)
@@ -331,13 +332,12 @@ def expectimax_value(rs, incidents, world, params):
 
     def q_root(action):
         s = rs.state.clone()
-        apply_allocation(s, action.assignment, world)
+        apply_allocation(s, action, world)
         cost, new_pos, done = _play(s, incidents, 0, world, params.discount,
                                     t0, end_ms, True)
         return cost if done else cost + value(s, new_pos)
 
-    root_actions = enumerate_actions(rs, params.max_joint_actions)
-    return {a: q_root(a) for a in root_actions}
+    return {a: q_root(a) for a in joint_actions(rs, params.max_joint_actions)}
 
 
 class TestExpectimaxAgreement:
@@ -355,7 +355,7 @@ class TestExpectimaxAgreement:
         res = mcts_search(rs, chain(*incidents), world, params)
         oracle = expectimax_value(rs, incidents, world, params)
         assert min(res.scores, key=res.scores.get) == \
-               min(oracle, key=lambda a: (oracle[a], a.assignment))
+               min(oracle, key=lambda a: (oracle[a], a))
 
 
 class TestPlanRegionAllocations:
@@ -371,7 +371,7 @@ class TestPlanRegionAllocations:
                                 agents=[waiting_agent(line_world, 0, 1)])
             plans = plan_region_allocations(state, line_world, model, params,
                                             n_samples=6, seed=seed)
-            assert plans[0].action == AllocationAction(((0, 0),)), seed
+            assert plans[0].action == ((0, 0),), seed
 
     def test_monte_carlo_oracle_agrees(self, line_world):
         # enumerate both actions and estimate expected cost over many
@@ -390,7 +390,7 @@ class TestPlanRegionAllocations:
                                     agents=[waiting_agent(line_world, 0, 1)])
                 apply_allocation(state, ((0, depot),), line_world)
                 rs = RegionState(0, state, line_world.depots)
-                totals[depot] += rollout(rs, c, params.horizon_ms, params.discount,
+                totals[depot] += playout(rs, c, params.horizon_ms, params.discount,
                                          line_world)
         assert totals[0] / n < totals[1] / n
 
@@ -421,14 +421,14 @@ class TestPlanRegionAllocations:
         state.agents[0].id = 0
         plans = plan_region_allocations(state, line_world, model, params,
                                         n_samples=1, seed=3)
-        for scores in plans[0].score_map.scores.values():
+        for scores in plans[0].scores.values():
             assert len(scores) == 1
 
     def test_ties_go_to_less_travel_then_smaller_assignment(self, monkeypatch):
         # depots at cells 0, 4 and 8; the agent waits at depot 1 (cell 4),
         # so moving to depot 0 or 2 is 4 miles and staying is 0
         world = build_world(depot_xy=((0, 0), (4, 0), (8, 0)))
-        to_0, stay, to_2 = (AllocationAction(((0, d),)) for d in range(3))
+        to_0, stay, to_2 = (((0, d),) for d in range(3))
         model = DemandModel(rates=np.full(10, 0.5))
 
         def plan(scores):
@@ -448,13 +448,22 @@ class TestPlanRegionAllocations:
         # equal means and travel: the smaller assignment wins
         assert plan({to_2: 3.0, to_0: 3.0, stay: 4.0}) == to_0
 
-    def test_score_map_mean_is_arithmetic(self):
-        from hierdispatch import ActionScoreMap
-        m = ActionScoreMap()
-        a = AllocationAction(((0, 0),))
-        for v in (1.0, 2.0, 6.0):
-            m.add(a, v)
-        assert m.means()[a] == pytest.approx(3.0)
+    def test_plan_mean_is_arithmetic(self, monkeypatch):
+        # each tree's score is kept in RegionPlan.scores, and the plan picks
+        # by their arithmetic mean: staying scores 1, 2, 6 (mean 3, median
+        # 2, min 1) and moving 3.5, 3.5, 1.5 (mean 2.83, median 3.5, min 1.5)
+        world = build_world(depot_xy=((0, 0), (4, 0), (8, 0)))
+        stay, move = ((0, 1),), ((0, 2),)
+        per_tree = iter([{stay: 1.0, move: 3.5}, {stay: 2.0, move: 3.5},
+                         {stay: 6.0, move: 1.5}])
+        monkeypatch.setattr(lowlevel, "mcts_search", lambda *_a, **_k:
+                            lowlevel.MCTSResult(next(per_tree), None, 1))
+        [plan] = plan_region_allocations(fresh_state(world, [1]), world,
+                                         DemandModel(rates=np.full(10, 0.5)),
+                                         MCTSParams(iterations=1), n_samples=3,
+                                         seed=0).values()
+        assert plan.scores == {stay: [1.0, 2.0, 6.0], move: [3.5, 3.5, 1.5]}
+        assert plan.action == move
 
     def test_decomposed_mode_feasible_and_deterministic(self):
         world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
@@ -471,8 +480,8 @@ class TestPlanRegionAllocations:
         plans = plan_once()
         action = plans[0].action
         assert action is not None
-        assert sorted(a for a, _d in action.assignment) == [0, 1]
-        depots = [d for _a, d in action.assignment]
+        assert sorted(a for a, _d in action) == [0, 1]
+        depots = [d for _a, d in action]
         assert len(set(depots)) == 2  # capacity respected
         again = plan_once()
         assert again[0].action == action
@@ -487,7 +496,7 @@ class TestPlanRegionAllocations:
         params = MCTSParams(iterations=20, max_joint_actions=1)
         result = mcts_search(rs, c, world, params)
         assert result.decomposed
-        assert [a.assignment for a in result.scores] == [((0, 3), (1, 0))]
+        assert list(result.scores) == [((0, 3), (1, 0))]
         tree = _Tree(rs, c, world, params)
         tree.run(params.iterations)
         assert tree.best_descent() == oracles.best_descent(tree)

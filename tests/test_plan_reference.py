@@ -18,8 +18,7 @@ from hierdispatch import (Agent, AgentStatus, DemandModel, Depot, Incident,
                           SystemState, TravelModel, World, make_grid,
                           partition_regions, plan_region_allocations)
 from hierdispatch import lowlevel
-from hierdispatch.lowlevel import (AllocationAction, _joint_choices, _Tree,
-                                   decompose, mcts_search)
+from hierdispatch.lowlevel import _joint_choices, _Tree, decompose, mcts_search
 
 from conftest import build_world, fresh_state
 
@@ -37,7 +36,7 @@ def tiny_plans(draw):
 
     Besides random worlds, three shapes force a single feasible action:
     one idle agent whose slot is the only free one, two idle agents at
-    one 2-slot depot, and two idle agents at one 1-slot depot (PASS).
+    one 2-slot depot, and two idle agents at one 1-slot depot (the pass ()).
     """
     # random worlds half of the time: they have the most to cover
     shape = draw(st.sampled_from(["random"] * 3
@@ -173,7 +172,7 @@ class TestSingleActionRegion:
         inside = IncidentChain([incident(0, 3, HOUR_MS + 10)], horizon)
         action, sampled, searched = self._plan(
             monkeypatch, [empty, late, inside, inside])
-        assert action == AllocationAction(((0, 0),))
+        assert action == ((0, 0),)
         assert (sampled, searched) == ([0, 1, 2, 3], 0)
 
     def test_window_end_is_outside(self, monkeypatch):
@@ -216,7 +215,7 @@ def test_lone_action_kept_when_a_deeper_node_decomposes(monkeypatch):
         agent.busy_until = 1
     model = DemandModel(rates=np.full(10, 2.0))
     params = MCTSParams(iterations=8, max_joint_actions=1)
-    stay = AllocationAction(((0, 0),))
+    stay = ((0, 0),)
 
     rs = decompose(state, 0, world)
     chain = IncidentChain([incident(0, 3, 10), incident(1, 7, HOUR_MS)],

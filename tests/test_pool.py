@@ -25,7 +25,7 @@ from hierdispatch import (Coordinator, DemandModel, IncidentChain, MCTSParams,
 from hierdispatch import coordinator, lowlevel
 from hierdispatch.lowlevel import TreePool, helper_count, plan_region_allocations
 
-from conftest import build_world, fresh_state
+from conftest import build_world, fresh_state, joint_actions
 from test_plan_reference import incident, reference, tiny_plans
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -66,8 +66,8 @@ def test_pool_plan_equals_in_process_plan(case):
                                          n_samples, seed, pool=pool)
     assert {r: p.action for r, p in pooled.items()} == \
         {r: p.action for r, p in alone.items()}
-    assert {r: p.score_map.scores for r, p in pooled.items()} == \
-        {r: p.score_map.scores for r, p in alone.items()}
+    assert {r: p.scores for r, p in pooled.items()} == \
+        {r: p.scores for r, p in alone.items()}
 
 
 def test_pool_of_another_world_rejected():
@@ -105,8 +105,8 @@ def test_plans_of_two_models_on_one_world_equal_reference():
         for plans in (alone, pooled):
             assert {r: p.action for r, p in plans.items()} == \
                 {r: p.action for r, p in expected.items()}
-        assert {r: p.score_map.scores for r, p in pooled.items()} == \
-            {r: p.score_map.scores for r, p in alone.items()}
+        assert {r: p.scores for r, p in pooled.items()} == \
+            {r: p.scores for r, p in alone.items()}
 
 
 def test_lone_action_region_decided_by_pool_tasks(monkeypatch):
@@ -129,24 +129,36 @@ def test_lone_action_region_decided_by_pool_tasks(monkeypatch):
                                                  MCTSParams(iterations=8), 4, 0,
                                                  pool=pool)[0])
     assert received == [[(0, i) for i in range(4)]] * 2
-    stay = lowlevel.AllocationAction(((0, 0),))
+    stay = ((0, 0),)
     assert plans[0].action == plans[1].action == stay
-    assert plans[0].score_map.scores == plans[1].score_map.scores
-    assert set(plans[0].score_map.scores) == {stay.assignment}
+    assert plans[0].scores == plans[1].scores
+    assert set(plans[0].scores) == {stay}
 
 
 @pytest.mark.parametrize("depots, homes", [(((0, 0), (4, 0), (9, 0)), [0, 1]),
                                            (((0, 0),), [0])])
 def test_reply_pickles_only_builtins(depots, homes):
     # a helper's reply crosses a pipe pickled; a searched region's scores
-    # and a lone-action region's name no class of the package
+    # and a lone-action region's name no class of the package. The plan's
+    # action and score keys, and a tree's score keys, are assignment tuples
+    # of (int, int) pairs, so no wrapper type comes back on either path
     world = build_world(depot_xy=depots)
     model = DemandModel(rates=np.full(10, 2.0))
-    rs = lowlevel.decompose(fresh_state(world, homes), 0, world)
-    scores = TreePool(world, model, 0)._search(rs, 0, 0, MCTSParams(iterations=8), {})
+    state = fresh_state(world, homes)
+    rs = lowlevel.decompose(state, 0, world)
+    params = MCTSParams(iterations=8)
+    scores = TreePool(world, model, 0)._search(rs, 0, 0, params, {})
     assert scores
-    assert set(scores) <= {a.assignment for a in lowlevel.enumerate_actions(rs)}
+    assert set(scores) <= set(joint_actions(rs))
     assert b"hierdispatch" not in pickle.dumps(scores)
+    plan = plan_region_allocations(state, world, model, params, 2, 0)[0]
+    chain = IncidentChain([incident(0, 5, 60_000)], params.horizon_ms)
+    tree_scores = lowlevel.mcts_search(rs, chain, world, params).scores
+    assert plan.scores and tree_scores
+    for assignment in (plan.action, *plan.scores, *tree_scores):
+        assert type(assignment) is tuple
+        assert all(type(pair) is tuple and [type(x) for x in pair] == [int, int]
+                   for pair in assignment), assignment
 
 
 @pytest.fixture
@@ -272,7 +284,7 @@ def test_pool_reused_across_decisions(starts):
             pooled = plan_region_allocations(state, world, model,
                                              MCTSParams(iterations=8), 3, seed,
                                              pool=pool)
-            assert pooled[0].score_map.scores == alone[0].score_map.scores
+            assert pooled[0].scores == alone[0].scores
     assert starts == [1]
 
 
@@ -290,7 +302,7 @@ def test_no_fork_while_another_thread_runs(starts):
         release.set()
         thread.join(BOUND_S)
     assert starts == []
-    assert pooled[0].score_map.scores == alone[0].score_map.scores
+    assert pooled[0].scores == alone[0].scores
 
 
 def test_helper_count_bounded_by_cores_and_trees(monkeypatch):

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from hierdispatch import (Agent, AgentStatus, Depot, Incident, SystemState,
                           TravelModel, World, make_grid)
 from hierdispatch.lowlevel import (RegionState, _next_dispatch_event, _play,
-                                   apply_allocation, enumerate_actions)
+                                   apply_allocation)
 from hierdispatch.simulator import (advance, assign_depot, dispatch,
                                     greedy_dispatch_pending)
+
+from conftest import joint_actions
 
 HOUR_MS = 3_600_000
 
@@ -158,4 +160,4 @@ def test_joint_actions_equal_reference(case, busy, max_joint):
         if busy >> agent.id & 1:
             agent.status = AgentStatus.SERVICING
     rs = RegionState(0, state, world.depots)
-    assert enumerate_actions(rs, max_joint) == oracles.enumerate_actions(rs, max_joint)
+    assert joint_actions(rs, max_joint) == oracles.enumerate_actions(rs, max_joint)
