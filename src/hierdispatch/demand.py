@@ -107,8 +107,9 @@ class DemandModel:
 def fit_rates(history, horizon_hours: float, num_cells: int) -> DemandModel:
     """Empirical-mean Poisson fit: rate = count(cell) / horizon_hours.
 
-    history: iterable of (cell_id, timestamp) pairs; timestamps are only
-    used to validate that records fall inside the horizon.
+    history: iterable of (cell_id, timestamp) pairs; the timestamps are not
+    read, so the caller checks that the records span at most horizon_hours
+    (harness.build_scenario does).
     """
     if horizon_hours <= 0:
         raise ValueError("horizon_hours must be positive")

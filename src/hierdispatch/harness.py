@@ -139,6 +139,22 @@ def _check_failure(cfg: ScenarioConfig, name: str, f) -> FailureEvent:
     return FailureEvent(agent_id, start_ms, duration_ms)
 
 
+def _check_failures(cfg: ScenarioConfig, named) -> None:
+    """A ConfigError naming the failure, of named's (name, FailureEvent)
+    pairs, whose agent is not in the fleet or that starts before another
+    window of its agent ends."""
+    down_until: dict[int, int] = {}
+    for name, f in sorted(named, key=lambda nf: (nf[1].start_ms, nf[1].agent_id)):
+        if not 0 <= f.agent_id < cfg.num_agents:
+            raise ConfigError(f"{name}: agent_id {f.agent_id} is not in the fleet "
+                              f"(num_agents={cfg.num_agents})")
+        if f.start_ms < down_until.get(f.agent_id, f.start_ms):
+            raise ConfigError(f"{name}: agent_id {f.agent_id} has overlapping "
+                              f"windows (one starts at {f.start_ms / 1000:g} s, "
+                              "before the previous one ends)")
+        down_until[f.agent_id] = f.start_ms + f.duration_ms
+
+
 def _key(rule, default=MISSING, *, default_factory=MISSING, entry=None):
     """A field validate() checks: its value with rule, a list's entries with entry."""
     return field(default=default, default_factory=default_factory,
@@ -179,7 +195,6 @@ class ScenarioConfig:
     replan_minutes: float = _key(_POSITIVE, 60.0)
     speed_mph: float = _key(_POSITIVE, 30.0)
     planning_horizon_hours: float = _key(_HOURS, 2.0)
-    max_joint_actions: int = _key(_AT_LEAST_1, 10_000)
 
     def validate(self) -> None:
         for f in fields(self):
@@ -197,6 +212,9 @@ class ScenarioConfig:
         if not (self.base_rate_per_hour > 0 or self.hotspots or self.history_file):
             raise ConfigError("base_rate_per_hour: no demand: set "
                               "base_rate_per_hour, hotspots, or history_file")
+        inline = [(f"failures[{i}]", _check_failure(self, f"failures[{i}]", f))
+                  for i, f in enumerate(self.failures)]
+        _check_failures(self, inline)
         if self.history_file and self.history_horizon_hours is None:
             raise ConfigError("history_horizon_hours: required with history_file")
         needs = _TEST_BEDS[self.test_bed]
@@ -248,8 +266,15 @@ def _build_rates(cfg: ScenarioConfig, num_cells: int) -> np.ndarray:
     """Per-cell rates; a ConfigError unless some cell's rate is positive
     (a later hotspot on a cell replaces an earlier one's rate)."""
     if cfg.history_file:
-        history = load_history(_resolve(cfg, cfg.history_file), cfg.grid_width,
-                               cfg.grid_height)
+        path = _resolve(cfg, cfg.history_file)
+        history = load_history(path, cfg.grid_width, cfg.grid_height)
+        if not history:
+            raise ConfigError(f"history_file: {path} holds no incident records")
+        last_ms = max(ms for _cell, ms in history)
+        if last_ms > hours_to_ms(cfg.history_horizon_hours):
+            raise ConfigError(f"history_horizon_hours: {cfg.history_horizon_hours:g} h "
+                              f"is shorter than the history, whose last record "
+                              f"comes {last_ms / MS_PER_HOUR:g} h after its first")
         rates = fit_rates(history, cfg.history_horizon_hours, num_cells).rates
     else:
         rates = np.full(num_cells, float(cfg.base_rate_per_hour))
@@ -306,12 +331,17 @@ def _check_demand(cfg: ScenarioConfig, rates: np.ndarray, spikes) -> None:
 
 
 def _build_failures(cfg: ScenarioConfig) -> list[FailureEvent]:
-    """The failure events of the config and of its failure file."""
-    failures = [_check_failure(cfg, f"failures[{i}]", f)
-                for i, f in enumerate(cfg.failures)]
+    """The failure events of the config and of its failure file, sorted by
+    start and checked together (see _check_failures)."""
+    named = [(f"failures[{i}]", _check_failure(cfg, f"failures[{i}]", f))
+             for i, f in enumerate(cfg.failures)]
     if cfg.failure_file:
-        failures.extend(load_failure_schedule(_resolve(cfg, cfg.failure_file)))
-    return sorted(failures, key=lambda f: (f.start_ms, f.agent_id))
+        path = _resolve(cfg, cfg.failure_file)
+        named += [(f"failure file {path} row {n}", f)
+                  for n, f in enumerate(load_failure_schedule(path), start=1)]
+    _check_failures(cfg, named)
+    return sorted((f for _name, f in named),
+                  key=lambda f: (f.start_ms, f.agent_id))
 
 
 def _rows(path, what: str, columns: tuple[str, ...]):
@@ -410,18 +440,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     world = World(cells=cells, depots=depots,
                   travel=TravelModel(speed_mph=cfg.speed_mph),
                   partition=partition)
-    failures = _build_failures(cfg)
-    down_until: dict[int, int] = {}  # failures are sorted by start
-    for f in failures:
-        if not (0 <= f.agent_id < cfg.num_agents):
-            raise ConfigError(f"failures: agent_id {f.agent_id} is not in "
-                              f"the fleet (num_agents={cfg.num_agents})")
-        if f.start_ms < down_until.get(f.agent_id, f.start_ms):
-            raise ConfigError(f"failures: agent_id {f.agent_id} has overlapping "
-                              f"windows (one starts at {f.start_ms / 1000:g} s, "
-                              f"before the previous one ends)")
-        down_until[f.agent_id] = f.start_ms + f.duration_ms
-    return Scenario(config=cfg, world=world, model=model, failures=failures,
+    return Scenario(config=cfg, world=world, model=model,
+                    failures=_build_failures(cfg),
                     horizon_ms=hours_to_ms(cfg.horizon_hours))
 
 
@@ -527,8 +547,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
     planner = PlannerConfig(
         mcts=MCTSParams(iterations=cfg.mcts_iterations, uct_c=cfg.uct_c,
                         discount=cfg.discount,
-                        horizon_ms=hours_to_ms(cfg.planning_horizon_hours),
-                        max_joint_actions=cfg.max_joint_actions),
+                        horizon_ms=hours_to_ms(cfg.planning_horizon_hours)),
         n_samples=cfg.n_samples,
         replan_interval_ms=int(round(cfg.replan_minutes * MS_PER_MINUTE)),
         eta_per_hour=cfg.eta_per_hour)

@@ -13,6 +13,12 @@ the next incident (greedy dispatch included) and charges the discounted
 response times along the way. Leaf evaluation rolls out the rest of the
 chain under the default policy: greedy dispatch, no redistribution.
 
+A node's actions are the joint depot assignments of its idle agents,
+expanded in lexicographic order of their depot tuples. A tree adds at
+most one child per iteration, so a node lists only the first
+max(2, iterations) of them, made lazily: a region of any size costs no
+more than that, and the search is what it would be over the full list.
+
 Scores are discounted response-time costs (seconds), so lower is better;
 node utilities are stored negated so UCB keeps its usual argmax form.
 Selection normalizes the exploitation term to [0, 1] with the tree's
@@ -73,42 +79,39 @@ def joint_action_count(num_depots: int, num_agents: int) -> int:
     return math.perm(num_depots, num_agents)
 
 
-def _free_slots(rs: RegionState, idle_ids: set[int],
-                partial=()) -> dict[int, int]:
-    """Depot slots available to the agents being reallocated.
+def _depot_tuples(slots: dict[int, int], k: int):
+    """The distinct k-tuples of depot ids that fit slots (free slots by
+    depot id, ids increasing), lazily and in lexicographic order. While a
+    depot has two free slots it branches on the first depot, so that no
+    tuple is made twice; then itertools.permutations makes the rest."""
+    free = [d for d in slots if slots[d]]
+    if k == 0 or all(slots[d] == 1 for d in free):
+        return itertools.permutations(free, k)
 
-    Agents outside the idle set (busy or failed) keep their slot reserved,
-    and so do the (agent, depot) pairs of partial, already assigned.
-    """
-    slots = {d.id: d.capacity for d in sorted(rs.depots, key=lambda d: d.id)}
-    for a in rs.state.agents:
-        if a.id not in idle_ids and a.depot in slots:
-            slots[a.depot] = max(0, slots[a.depot] - 1)
-    for _aid, d in partial:
-        slots[d] -= 1
-    return slots
+    def branches():
+        for d in free:
+            slots[d] -= 1
+            for rest in _depot_tuples(slots, k - 1):
+                yield (d,) + rest
+            slots[d] += 1
+    return branches()
 
 
-def _joint_choices(rs: RegionState, max_joint: int):
-    """The region's joint allocations as (agent ids, depot tuples): action
-    i is the assignment tuple(zip(ids, depot_tuples[i])) of (agent id,
-    depot id) pairs, agent-sorted. None when their count would exceed
-    max_joint, and ((), [()]), the pass () alone, when there is nothing
-    to decide."""
+def _joint_choices(rs: RegionState, cap: int):
+    """The region's first cap joint allocations as (agent ids, depot
+    tuples): action i is the assignment tuple(zip(ids, depot_tuples[i])) of
+    (agent id, depot id) pairs, agent-sorted. The depot tuples are the
+    distinct ones in lexicographic order of depot ids, made lazily, so a
+    region of any size costs at most cap of them. ((), [()]), the pass ()
+    alone, when there is nothing to decide."""
     idle = sorted(a.id for a in rs.state.idle_agents())
-    slots = _free_slots(rs, set(idle)) if idle else {}
-    free = sum(slots.values())
-    if not idle or free < len(idle):
+    slots = {d.id: d.capacity for d in sorted(rs.depots, key=lambda d: d.id)}
+    for a in rs.state.agents:  # busy and failed agents keep their slot
+        if a.depot in slots and a.id not in idle:
+            slots[a.depot] = max(0, slots[a.depot] - 1)
+    if not idle or sum(slots.values()) < len(idle):
         return (), [()]  # nothing to reshuffle; leave assignments alone
-    if math.perm(free, len(idle)) > max_joint:
-        return None
-    # k-permutations of the free slots come out in lexicographic order of
-    # depot ids; a depot with several free slots repeats a tuple, kept once
-    slot_list = [d for d in sorted(slots) for _ in range(slots[d])]
-    perms = itertools.permutations(slot_list, len(idle))
-    if max(slots.values()) > 1:
-        perms = dict.fromkeys(perms)
-    return tuple(idle), list(perms)
+    return tuple(idle), list(itertools.islice(_depot_tuples(slots, len(idle)), cap))
 
 
 def apply_allocation(state: SystemState, assignment, world: World) -> None:
@@ -179,16 +182,14 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
 
 
 class SearchNode:
-    """One decision epoch (or one per-agent assignment level) in the tree.
-    Nodes link only to their children: a dropped tree holds no reference
-    cycle, so reference counting frees it at once."""
+    """One decision epoch in the tree. Nodes link only to their children: a
+    dropped tree holds no reference cycle, so reference counting frees it
+    at once."""
 
     __slots__ = ("state", "chain_pos", "cost_from_root", "visits", "utility_sum",
-                 "children", "untried", "terminal", "to_assign", "partial",
-                 "idle_ids", "tail")
+                 "children", "untried", "terminal", "idle_ids", "tail")
 
-    def __init__(self, state, chain_pos, cost_from_root, terminal=False,
-                 to_assign=None, partial=()):
+    def __init__(self, state, chain_pos, cost_from_root, terminal=False):
         self.state = state
         self.chain_pos = chain_pos
         self.cost_from_root = cost_from_root
@@ -196,17 +197,11 @@ class SearchNode:
         self.utility_sum = 0.0
         self.children: dict = {}
         # filled lazily on first expansion visit: depot tuples of the
-        # joint actions for idle_ids, or per-agent (agent, depot) pairs
+        # joint actions for idle_ids
         self.untried = None
         self.idle_ids = ()
         self.terminal = terminal
-        self.to_assign = to_assign  # set on per-agent decomposition levels
-        self.partial = partial
-        self.tail = None  # playout cost of a terminal epoch node, once known
-
-    @property
-    def mean_cost(self) -> float:
-        return -(self.utility_sum / self.visits if self.visits else 0.0)
+        self.tail = None  # playout cost of a terminal node, once known
 
 
 @dataclass
@@ -215,7 +210,6 @@ class MCTSParams:
     uct_c: float = 1.44
     discount: float = 0.99995
     horizon_ms: int = 2 * MS_PER_HOUR
-    max_joint_actions: int = 10_000
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -224,10 +218,13 @@ class MCTSParams:
 
 @dataclass
 class MCTSResult:
+    """A tree's scores. decomposed is always False, as every tree searches
+    joint actions; it stays only because perfbench/layers.py reads it."""
+
     scores: dict[tuple, float]  # mean discounted cost per root assignment
     root: SearchNode
     iterations: int
-    decomposed: bool = False
+    decomposed = False  # a class constant, not a field
 
 
 def _in_window(chain: IncidentChain, t0_ms: int, horizon_ms: int) -> list[Incident]:
@@ -250,52 +247,18 @@ class _Tree:
                                terminal=not self.incidents)
         self.cost_lo = math.inf
         self.cost_hi = -math.inf
-        if not self.root.terminal:  # a terminal root gets no actions: run stops there
-            if isinstance(root_choices, tuple):  # _expand pops; sibling trees share it
-                root_choices = root_choices[0], list(root_choices[1])
-            self._init_actions(self.root, root_choices)
+        if root_choices is not ...:  # a copy: _expand pops, sibling trees share
+            self.root.idle_ids = root_choices[0]
+            self.root.untried = list(root_choices[1])
 
-    def _region_view(self, state: SystemState) -> RegionState:
-        return RegionState(self.region, state, self.depots)
-
-    def _init_actions(self, node: SearchNode, choices=...) -> None:
-        """Fill node.untried with the actions to try at node. An epoch node
-        takes choices, its _joint_choices (worked out here when not given):
-        depot tuples for its idle agents, or None to assign them one at a
-        time. A per-agent level lists its next agent's (agent, depot) pairs."""
-        if node.to_assign is None:
-            if choices is ...:
-                choices = _joint_choices(self._region_view(node.state),
-                                         self.params.max_joint_actions)
-            if choices is not None:
-                node.idle_ids, node.untried = choices
-                return
-            node.to_assign = tuple(sorted(a.id for a in node.state.idle_agents()))
-        slots = _free_slots(self._region_view(node.state), set(node.to_assign),
-                            node.partial)
-        agent_id = node.to_assign[len(node.partial)]
-        node.untried = [(agent_id, d) for d in sorted(slots) if slots[d] > 0]
-
-    def _make_epoch_child(self, node: SearchNode, key, assignment) -> SearchNode:
+    def _expand(self, node: SearchNode) -> SearchNode:
+        action = tuple(zip(node.idle_ids, node.untried.pop(0)))
         state = node.state.clone()
-        apply_allocation(state, assignment, self.world)
+        apply_allocation(state, action, self.world)
         cost, pos, done = _play(state, self.incidents, node.chain_pos, self.world,
                                 self.params.discount, self.t0, self.end_ms,
                                 stop_after_incident=True)
         child = SearchNode(state, pos, node.cost_from_root + cost, terminal=done)
-        node.children[key] = child
-        return child
-
-    def _expand(self, node: SearchNode) -> SearchNode:
-        action = node.untried.pop(0)
-        if node.to_assign is None:
-            action = tuple(zip(node.idle_ids, action))
-            return self._make_epoch_child(node, action, action)
-        partial = node.partial + (action,)
-        if len(partial) == len(node.to_assign):
-            return self._make_epoch_child(node, action, partial)
-        child = SearchNode(node.state, node.chain_pos, node.cost_from_root,
-                           to_assign=node.to_assign, partial=partial)
         node.children[action] = child
         return child
 
@@ -316,30 +279,13 @@ class _Tree:
                 best, best_score = child, score
         return best
 
-    def _complete_partial(self, node: SearchNode) -> tuple:
-        """Default-policy completion of a partial assignment: remaining
-        agents keep their depot when its slot is still free, otherwise they
-        take the first free one."""
-        slots = _free_slots(self._region_view(node.state), set(node.to_assign),
-                            node.partial)
-        pairs = list(node.partial)
-        for agent_id in node.to_assign[len(node.partial):]:
-            current = node.state.agent(agent_id).depot
-            if slots.get(current, 0) > 0:
-                depot = current
-            else:
-                depot = next(d for d in sorted(slots) if slots[d] > 0)
-            slots[depot] -= 1
-            pairs.append((agent_id, depot))
-        return tuple(pairs)
-
     def _evaluate(self, node: SearchNode) -> float:
         """Total trajectory cost from the root through this node's playout.
 
-        A terminal epoch node's state never changes, so its playout runs
-        once; with nothing pending it costs 0.0, which is what _play gives.
+        A terminal node's state never changes, so its playout runs once;
+        with nothing pending it costs 0.0, which is what _play gives.
         """
-        if node.terminal and node.to_assign is None:
+        if node.terminal:
             if node.tail is None:
                 node.tail = 0.0
                 if node.state.pending:
@@ -348,23 +294,20 @@ class _Tree:
                                       self.params.discount, self.t0, self.end_ms,
                                       stop_after_incident=False)[0]
             return node.cost_from_root + node.tail
-        state = node.state.clone()
-        if node.to_assign is not None:
-            apply_allocation(state, self._complete_partial(node), self.world)
-        tail, _pos, _done = _play(state, self.incidents, node.chain_pos, self.world,
-                                  self.params.discount, self.t0, self.end_ms,
-                                  stop_after_incident=False)
+        tail, _pos, _done = _play(node.state.clone(), self.incidents, node.chain_pos,
+                                  self.world, self.params.discount, self.t0,
+                                  self.end_ms, stop_after_incident=False)
         return node.cost_from_root + tail
 
     def run(self, iterations: int) -> None:
         for _ in range(iterations):
             node = self.root
             path = [node]
-            while True:
-                if node.terminal and node.to_assign is None:
-                    break
-                if node.untried is None:
-                    self._init_actions(node)
+            while not node.terminal:
+                if node.untried is None:  # a node's actions, once it is reached
+                    view = RegionState(self.region, node.state, self.depots)
+                    node.idle_ids, node.untried = _joint_choices(
+                        view, max(2, self.params.iterations))
                 if node.untried:
                     node = self._expand(node)
                     path.append(node)
@@ -378,25 +321,6 @@ class _Tree:
                 node.visits += 1
                 node.utility_sum -= total
 
-    def best_descent(self) -> tuple:
-        """Complete assignment along best mean-cost children (decomposed mode).
-
-        Levels the search never reached fall back to the first depot with a
-        free slot, mirroring the expansion order.
-        """
-        pairs: list[tuple[int, int]] = []
-        node = self.root
-        while node.to_assign is not None and node.children:
-            key, child = min(node.children.items(),
-                             key=lambda kv: (kv[1].mean_cost, kv[0]))
-            pairs.append(key)
-            node = child
-            if len(pairs) == len(self.root.to_assign):
-                break  # an epoch node, which may itself assign one at a time
-        probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
-                           to_assign=self.root.to_assign, partial=tuple(pairs))
-        return self._complete_partial(probe)
-
 
 def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
                 params: MCTSParams, root_choices=...) -> MCTSResult:
@@ -405,11 +329,11 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
 
     The environment is deterministic given the chain, so the search
     itself is deterministic. Regions with no idle agents need no decision
-    and yield an empty score map. root_choices, when given, is
-    _joint_choices(rs, params.max_joint_actions), shared by the region's
-    trees; otherwise the tree works it out itself. A root with more joint
-    actions than params.max_joint_actions assigns its agents one at a
-    time and scores only the best descent's complete assignment.
+    and yield an empty score map. Every node lists the first
+    max(2, params.iterations) of its joint actions, all that the tree's
+    iterations can expand (see the module docstring); root_choices, when
+    given, is that list for rs, shared by the region's trees; otherwise
+    the tree works it out itself.
     """
     if not rs.state.idle_agents():
         return MCTSResult(scores={}, root=SearchNode(rs.state.clone(), 0, 0.0),
@@ -419,13 +343,9 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
         # empty chain: every allocation scores alike, nothing to search
         return MCTSResult(scores={}, root=tree.root, iterations=0)
     tree.run(params.iterations)
-    if tree.root.to_assign is not None:
-        action = tree.best_descent()
-        score = min((c.mean_cost for c in tree.root.children.values()),
-                    default=0.0)
-        return MCTSResult(scores={action: score}, root=tree.root,
-                          iterations=params.iterations, decomposed=True)
-    scores = {a: child.mean_cost for a, child in tree.root.children.items()}
+    # mean cost per root action; every expanded child has been visited
+    scores = {a: -child.utility_sum / child.visits
+              for a, child in tree.root.children.items()}
     return MCTSResult(scores=scores, root=tree.root, iterations=params.iterations)
 
 
@@ -454,7 +374,7 @@ def _helper(conn, counter, pool: TreePool, inherited) -> None:
         except EOFError:
             return
         # root choices are worked out here, once per region: cheaper than
-        # pickling them (up to thousands of depot tuples)
+        # pickling them (up to params.iterations depot tuples)
         choices = {}
         try:
             reply = ("ok", [(k, pool._search(*tasks[k], seed, params, choices))
@@ -540,9 +460,9 @@ class TreePool:
         if not _in_window(chain, t0, params.horizon_ms):
             return {}
         if rs.region not in choices:
-            choices[rs.region] = _joint_choices(rs, params.max_joint_actions)
+            choices[rs.region] = _joint_choices(rs, max(2, params.iterations))
         root = choices[rs.region]
-        if root is not None and len(root[1]) == 1:
+        if len(root[1]) == 1:
             return {tuple(zip(root[0], root[1][0])): 0.0}
         return mcts_search(rs, chain, self.world, params, root_choices=root).scores
 

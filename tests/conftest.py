@@ -53,12 +53,11 @@ def waiting_agent(world, agent_id, depot_id, region=None):
                  status=AgentStatus.WAITING, region=region, depot=depot_id)
 
 
-def joint_actions(rs, max_joint=10_000):
-    """The assignment tuples _joint_choices(rs, max_joint) describes, in
-    its order; None when their count exceeds max_joint."""
-    choices = _joint_choices(rs, max_joint)
-    return None if choices is None else [tuple(zip(choices[0], depots))
-                                         for depots in choices[1]]
+def joint_actions(rs, cap=10_000):
+    """The assignment tuples _joint_choices(rs, cap) describes, in its
+    order."""
+    ids, depot_tuples = _joint_choices(rs, cap)
+    return [tuple(zip(ids, depots)) for depots in depot_tuples]
 
 
 def fresh_state(world, depot_ids, clock_ms=0):

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from hierdispatch.demand import Incident, IncidentChain, _segments
-from hierdispatch.lowlevel import (RegionPlan, SearchNode, _free_slots, _travel,
-                                   _Tree, decompose, mcts_search, sample_chain)
+from hierdispatch.lowlevel import (RegionPlan, SearchNode, _travel, decompose,
+                                   mcts_search, sample_chain)
 from hierdispatch.queueing import QueueParams, _check_stable
 from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
                                     UnknownIncident)
@@ -266,44 +266,48 @@ def greedy_dispatch_pending(state: SystemState, world: World) -> list[dict]:
     return records
 
 
-def enumerate_actions(rs: RegionState, max_joint: int = 10_000):
+def enumerate_actions(rs: RegionState):
     """All feasible joint allocations for the region's idle agents.
 
-    Returns a list of assignment tuples ((agent_id, depot_id), ...), or
-    None when the joint count would exceed max_joint (callers then
-    decompose the decision per agent). Returns [()], the pass alone, when
-    there is nothing to decide.
+    Returns a list of assignment tuples ((agent_id, depot_id), ...), in
+    lexicographic order of their depot ids; [()], the pass alone, when
+    there is nothing to decide. Agents that are not idle keep their slot.
     """
     idle = sorted(rs.state.idle_agents(), key=lambda a: a.id)
     if not idle:
         return [()]
-    slots = _free_slots(rs, {a.id for a in idle})
-    free = sum(slots.values())
-    if free < len(idle):
+    slots = {d.id: d.capacity for d in rs.depots}
+    for a in rs.state.agents:
+        if a.id not in {b.id for b in idle} and a.depot in slots:
+            slots[a.depot] = max(0, slots[a.depot] - 1)
+    if sum(slots.values()) < len(idle):
         return [()]  # no feasible reshuffle; leave assignments alone
-    bound = 1
-    for i in range(len(idle)):
-        bound *= free - i
-        if bound > max_joint:
-            return None
     actions: list[tuple] = []
     depot_ids = sorted(slots)
-    partial: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int]] = []
 
     def dfs(i):
         if i == len(idle):
-            actions.append(tuple(partial))
+            actions.append(tuple(chosen))
             return
         for d in depot_ids:
             if slots[d] > 0:
                 slots[d] -= 1
-                partial.append((idle[i].id, d))
+                chosen.append((idle[i].id, d))
                 dfs(i + 1)
-                partial.pop()
+                chosen.pop()
                 slots[d] += 1
 
     dfs(0)
     return actions
+
+
+def joint_choices(rs: RegionState, _cap: int):
+    """lowlevel._joint_choices without its cap: every action of
+    enumerate_actions, as (agent ids, depot tuples)."""
+    actions = enumerate_actions(rs)
+    ids = tuple(agent_id for agent_id, _depot in actions[0])
+    return ids, [tuple(depot for _agent, depot in action) for action in actions]
 
 
 def apply_allocation(state: SystemState, assignment, world: World) -> None:
@@ -377,11 +381,10 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
 # search of single-action regions and scored terminal leaves once, kept
 # verbatim: plan_region_allocations always searches, and tree_evaluate
 # (the old _Tree._evaluate) replays every leaf from a fresh clone, through
-# the reference _play and apply_allocation above. The property test in
-# test_plan_reference.py patches tree_evaluate into _Tree and checks the
-# package's plans and scores against these with ==. The loop searches
-# through search(), which puts the reference best_descent (the descent that
-# stops at the root's last agent) into _Tree.
+# the reference _play above. The property test in test_plan_reference.py
+# patches tree_evaluate into _Tree and joint_choices, which lists every
+# joint action, into lowlevel, and checks the package's plans and scores
+# against these with ==.
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
                             params: MCTSParams, n_samples: int, seed,
@@ -414,7 +417,7 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
                                                 spawn_key=(region, i))
             chain = sample_chain(restricted, params.horizon_ms, chain_seed,
                                  start_ms=state.clock_ms)
-            result = search(rs, chain, world, params)
+            result = mcts_search(rs, chain, world, params)
             for action, score in result.scores.items():
                 plan.scores.setdefault(action, []).append(score)
         means = {a: sum(v) / len(v) for a, v in plan.scores.items()}
@@ -428,42 +431,9 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     return plans
 
 
-def best_descent(self) -> tuple:
-    """_Tree.best_descent before it lost its stop at the root's last agent,
-    kept verbatim; plan_region_allocations above searches with it."""
-    pairs: list[tuple[int, int]] = []
-    node = self.root
-    while node.to_assign is not None and node.children:
-        key, child = min(node.children.items(),
-                         key=lambda kv: (kv[1].mean_cost, kv[0]))
-        pairs.append(key)
-        node = child
-        if len(pairs) == len(self.root.to_assign):
-            break
-    if len(pairs) < len(self.root.to_assign):
-        probe = SearchNode(self.root.state, self.root.chain_pos, 0.0,
-                           to_assign=self.root.to_assign,
-                           partial=tuple(pairs))
-        return self._complete_partial(probe)
-    return tuple(pairs)
-
-
-def search(rs, chain, world, params):
-    """mcts_search with the reference best_descent above."""
-    package = _Tree.best_descent
-    _Tree.best_descent = best_descent
-    try:
-        return mcts_search(rs, chain, world, params)
-    finally:
-        _Tree.best_descent = package
-
-
 def tree_evaluate(self, node: SearchNode) -> float:
     """Total trajectory cost from the root through this node's playout."""
-    state = node.state.clone()
-    if node.to_assign is not None:
-        apply_allocation(state, self._complete_partial(node), self.world)
-    tail, _pos, _done = _play(state, self.incidents, node.chain_pos, self.world,
+    tail, _pos, _done = _play(node.state.clone(), self.incidents, node.chain_pos, self.world,
                               self.params.discount, self.t0, self.end_ms,
                               stop_after_incident=False)
     return node.cost_from_root + tail

@@ -7,11 +7,12 @@ from dataclasses import fields
 
 import pytest
 
-from hierdispatch import ChainMismatch, compare, load_config, run_experiment
+from hierdispatch import (ChainMismatch, compare, joint_action_count, load_config,
+                         run_experiment)
 from hierdispatch.harness import (ConfigError, ScenarioConfig, build_scenario,
                                   chain_for_seed, initial_state,
                                   load_failure_schedule)
-from hierdispatch import cli, lowlevel
+from hierdispatch import cli, coordinator, lowlevel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 INF = float("inf")
@@ -220,11 +221,18 @@ class TestConfig:
             load_config(p)
 
     def test_max_joint_actions_named(self, tmp_path):
-        with pytest.raises(ConfigError, match="max_joint_actions"):
-            tiny_config(tmp_path, max_joint_actions=0)
+        # the key is retired: every node lists at most max(2, mcts_iterations)
+        # joint actions, so a config that still sets it fails at load
+        p = tmp_path / "old.yaml"
+        p.write_text(f"grid_width: 6\ngrid_height: 6\n"
+                     f"depot_file: {tiny_config(tmp_path).depot_file}\n"
+                     "base_rate_per_hour: 0.1\nmax_joint_actions: 10000\n")
+        with pytest.raises(ConfigError,
+                           match=r"^unknown config keys: \['max_joint_actions'\]$"):
+            load_config(p)
 
     def test_valid_spikes_build_as_before(self, tmp_path):
-        cfg = tiny_config(tmp_path, max_joint_actions=1, spikes=[
+        cfg = tiny_config(tmp_path, spikes=[
             dict(cells=[[1, 1], [5, 5]], start_hour=1.0, end_hour=2.5, multiplier=1.0),
             dict(region=1, start_hour=0.5, end_hour=1.0, multiplier=4.0)])
         scenario = build_scenario(cfg)
@@ -270,6 +278,32 @@ class TestScenario:
         sc = build_scenario(cfg)
         assert sc.model.rates[1 * 6 + 1] == pytest.approx(1.0)
         assert sc.model.rates.sum() == pytest.approx(1.0)
+
+    def test_empty_history_file_named(self, tmp_path):
+        hist = tmp_path / "history.csv"
+        hist.write_text("incident_id,timestamp_iso8601,gx,gy\n")
+        cfg = tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
+                          history_file=str(hist), history_horizon_hours=12.0)
+        with pytest.raises(ConfigError,
+                           match=r"^history_file: \S+history.csv holds no incident"):
+            build_scenario(cfg)
+
+    @pytest.mark.parametrize("horizon, ok", [(11.0, True), (10.5, False)])
+    def test_history_longer_than_its_horizon_named(self, tmp_path, horizon, ok):
+        # records from 00:00 to 11:00: 11 h fits them, 10.5 h is too short
+        hist = tmp_path / "history.csv"
+        rows = ["incident_id,timestamp_iso8601,gx,gy"]
+        rows += [f"{i},2024-01-01T{i:02d}:00:00,1,1" for i in range(12)]
+        hist.write_text("\n".join(rows) + "\n")
+        cfg = tiny_config(tmp_path, base_rate_per_hour=0.0, hotspots=[],
+                          history_file=str(hist), history_horizon_hours=horizon)
+        if ok:
+            assert build_scenario(cfg).model.rates.sum() == pytest.approx(12 / 11)
+            return
+        with pytest.raises(ConfigError, match=r"^history_horizon_hours: 10.5 h "
+                           r"is shorter than the history, whose last record "
+                           r"comes 11 h after its first$"):
+            build_scenario(cfg)
 
     def test_history_file_requires_horizon(self, tmp_path):
         hist = tmp_path / "history.csv"
@@ -342,9 +376,25 @@ class TestScenario:
             build_scenario(cfg)
 
     def test_failure_agent_must_exist(self, tmp_path):
-        cfg = tiny_config(tmp_path, failures=[
-            {"agent_id": 99, "start_hour": 1.0, "duration_hours": 8.0}])
-        with pytest.raises(ConfigError, match="agent_id 99"):
+        # checked at load, naming the entry
+        with pytest.raises(ConfigError, match=r"^failures\[1\]: agent_id 99 is not "
+                           r"in the fleet \(num_agents=3\)$"):
+            tiny_config(tmp_path, failures=[
+                {"agent_id": 0, "start_hour": 1.0, "duration_hours": 8.0},
+                {"agent_id": 99, "start_hour": 1.0, "duration_hours": 8.0}])
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,0,60", r"row 2: agent_id 3 is not in the fleet \(num_agents=3\)$"),
+        ("2,9000,60", r"row 2: agent_id 2 has overlapping windows"),
+    ])
+    def test_failure_file_row_named(self, tmp_path, row, message):
+        # file rows are checked at build, against the inline entries too:
+        # failures[0] keeps agent 2 down from 2 h to 10 h
+        p = tmp_path / "failures.csv"
+        p.write_text(f"agent_id,start_time_s,duration_s\n0,0,60\n{row}\n")
+        cfg = tiny_config(tmp_path, failure_file=str(p), failures=[
+            {"agent_id": 2, "start_hour": 2.0, "duration_hours": 8.0}])
+        with pytest.raises(ConfigError, match=rf"^failure file \S+failures.csv {message}"):
             build_scenario(cfg)
 
     def test_failure_schedule_file(self, tmp_path):
@@ -380,11 +430,12 @@ class TestScenario:
         [(4.0, 2.0), (2.0, 4.0)],   # partly overlapping, listed out of order
     ])
     def test_overlapping_failure_windows_rejected(self, tmp_path, windows):
-        cfg = tiny_config(tmp_path, failures=[
-            {"agent_id": 1, "start_hour": start, "duration_hours": hours}
-            for start, hours in windows])
-        with pytest.raises(ConfigError, match="failures"):
-            build_scenario(cfg)
+        # checked at load, naming the entry that starts inside another
+        with pytest.raises(ConfigError,
+                           match=r"^failures\[\d\]: agent_id 1 has overlapping"):
+            tiny_config(tmp_path, failures=[
+                {"agent_id": 1, "start_hour": start, "duration_hours": hours}
+                for start, hours in windows])
 
     def test_touching_failure_windows_allowed(self, tmp_path):
         cfg = tiny_config(tmp_path, failures=[
@@ -468,34 +519,40 @@ class TestRunExperiment:
                 "f6ba2311a84d8c0060b490137acd8cc9adaa1fba8b8cdedfb339587f964d8901",
         }
 
-    def test_golden_decomposed_outputs(self, tmp_path, monkeypatch):
+    def test_golden_capped_root_outputs(self, tmp_path, monkeypatch):
         # metro30_preset, hierarchical, seed 1 over 4 h at 128 iterations
-        # and 2 chains: region 4 (14 depots, 6 agents) exceeds
-        # max_joint_actions, so its trees take the per-agent search.
-        # Digests recorded with numpy 2.4.6 on commit 3c02954, before
-        # single-action regions skipped their search and terminal leaves
-        # were scored once; a speed-up must leave both files byte-identical.
-        decomposed = []
+        # and 2 chains: region 4 (14 depots, 6 agents) has P(14, 6) joint
+        # actions, far above 128, and its roots list only the first 128.
+        # Digests recorded with numpy 2.4.6 when every node began to list
+        # at most max(2, iterations) joint actions, the per-agent search of
+        # larger regions deleted; a speed-up must leave both files
+        # byte-identical. No helper, so that this process runs every tree.
+        capped = []
         search = lowlevel.mcts_search
 
-        def counted(*args, **kwargs):
-            result = search(*args, **kwargs)
-            decomposed.append(result.decomposed)
+        def counted(rs, chain, world, params, **kwargs):
+            idle = len(rs.state.idle_agents())
+            free = len(rs.depots) - (len(rs.state.agents) - idle)  # unit depots
+            result = search(rs, chain, world, params, **kwargs)
+            listed = len(result.root.children) + len(result.root.untried)
+            capped.append((rs.region, listed == params.iterations
+                           < joint_action_count(free, idle)))
             return result
         monkeypatch.setattr(lowlevel, "mcts_search", counted)
+        monkeypatch.setattr(coordinator, "helper_count", lambda _n: 0)
         cfg = load_config(os.path.join(CONFIG_DIR, "metro30_preset.yaml"))
         cfg.seeds, cfg.horizon_hours = [1], 4.0
         cfg.mcts_iterations, cfg.n_samples = 128, 2
         cfg.validate()
         run_experiment(cfg, tmp_path / "out", trace=True)
-        assert any(decomposed)
+        assert (4, True) in capped
         digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                    for name in ("incidents_seed1.csv", "trajectory_seed1.log")}
         assert digests == {
             "incidents_seed1.csv":
-                "2bc5d2ede1a2aadd21b59f179a365f0ef7cffe14c49309d08c3d79a4b7744058",
+                "19e53dfa2ad49a1a21f4c5f150d275f2bb2aa2838a4d05f6e369bf7da315bbc9",
             "trajectory_seed1.log":
-                "7395f714d6d6a6e7a13eca14d34506f9739c1fd58849599d713d52499f37d925",
+                "372b678a7cb8c758b993d24f15cfe04ad8ebd764040c6068a28fd2850020044c",
         }
 
     def test_trace_log_schema(self, tmp_path):
@@ -605,6 +662,19 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == ("hierdispatch: error: failures[0]: needs agent_id, "
                                 "finite start_hour and duration_hours\n")
+
+    def test_run_empty_history_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        (tmp_path / "history.csv").write_text("incident_id,timestamp_iso8601,gx,gy\n")
+        cfg.write_text(cfg.read_text().replace("base_rate_per_hour: 0.3\n", "")
+                       + "history_file: history.csv\nhistory_horizon_hours: 24\n")
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"hierdispatch: error: history_file: "
+                                f"{tmp_path / 'history.csv'} holds no incident "
+                                "records\n")
 
     def test_run_missing_config_fails_in_one_line(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"

@@ -126,10 +126,22 @@ class TestEnumerateActions:
             agent.busy_until = 10 ** 9
         assert joint_actions(rs) == [((2, 1), (3, 1))]
 
-    def test_over_limit_returns_none(self):
-        world = build_world(depot_xy=tuple((x, 0) for x in range(8)), width=10)
-        rs = region_state(world, list(range(6)))
-        assert joint_actions(rs, max_joint=100) is None
+    def test_city_scale_region_lists_only_cap(self):
+        # P(30, 20) ~ 7e25 joint actions come out lazily, cap of them
+        world = build_world(width=30, depot_xy=tuple((x, 0) for x in range(30)))
+        actions = joint_actions(region_state(world, list(range(20))), cap=50)
+        assert len(actions) == 50
+        assert actions[0] == tuple((i, i) for i in range(20))
+        assert actions[1] == tuple((i, i) for i in range(19)) + ((19, 20),)
+        # one 20-slot depot: one tuple, not 20! orders of its slots
+        world = build_world(depot_xy=((0, 0),), capacity=20)
+        assert joint_actions(region_state(world, [0] * 20), cap=50) == \
+            [tuple((i, 0) for i in range(20))]
+        # two 20-slot depots: 2**20 tuples, from "all at depot 0" on
+        world = build_world(depot_xy=((0, 0), (9, 0)), capacity=20)
+        first = tuple((i, 0) for i in range(20))
+        assert joint_actions(region_state(world, [0] * 20), cap=3) == [
+            first, first[:19] + ((19, 1),), first[:18] + ((18, 1), (19, 0))]
 
 
 class TestApplyAllocation:
@@ -263,9 +275,10 @@ class TestMCTSSearch:
                   incident(1, 1, 50 * MS_PER_MINUTE))
         actions = joint_actions(rs)
         assert len(actions) == 20
+        # 7 iterations list only the first 7, all of which they expand
         res = mcts_search(rs, c, world, MCTSParams(iterations=7))
         assert list(res.root.children) == actions[:7]
-        assert len(res.root.children) + len(res.root.untried) == len(actions)
+        assert not res.root.untried
         res = mcts_search(rs, c, world, MCTSParams(iterations=60))
         assert list(res.root.children) == actions
         assert not res.root.untried
@@ -321,7 +334,7 @@ def expectimax_value(rs, incidents, world, params):
     def value(state, pos):
         view = RegionState(rs.region, state, rs.depots)
         best = math.inf
-        for action in joint_actions(view, params.max_joint_actions):
+        for action in joint_actions(view):
             s = state.clone()
             apply_allocation(s, action, world)
             cost, new_pos, done = _play(s, incidents, pos, world,
@@ -337,7 +350,7 @@ def expectimax_value(rs, incidents, world, params):
                                     t0, end_ms, True)
         return cost if done else cost + value(s, new_pos)
 
-    return {a: q_root(a) for a in joint_actions(rs, params.max_joint_actions)}
+    return {a: q_root(a) for a in joint_actions(rs)}
 
 
 class TestExpectimaxAgreement:
@@ -465,12 +478,13 @@ class TestPlanRegionAllocations:
         assert plan.scores == {stay: [1.0, 2.0, 6.0], move: [3.5, 3.5, 1.5]}
         assert plan.action == move
 
-    def test_decomposed_mode_feasible_and_deterministic(self):
+    def test_capped_root_feasible_and_deterministic(self):
+        # 2 agents, 3 depots: 6 joint actions, of which 4 iterations list 4
         world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
         rates = np.zeros(10)
         rates[2] = 3.0
         model = DemandModel(rates=rates)
-        params = MCTSParams(iterations=80, max_joint_actions=2)
+        params = MCTSParams(iterations=4)
 
         def plan_once():
             state = fresh_state(world, [0, 1])
@@ -479,27 +493,12 @@ class TestPlanRegionAllocations:
 
         plans = plan_once()
         action = plans[0].action
-        assert action is not None
+        assert action in joint_actions(region_state(world, [0, 1]))[:4]
         assert sorted(a for a, _d in action) == [0, 1]
         depots = [d for _a, d in action]
         assert len(set(depots)) == 2  # capacity respected
         again = plan_once()
         assert again[0].action == action
-
-    def test_decomposed_descent_stops_at_the_root_agents(self):
-        # the last root agent's child is an epoch node that itself assigns
-        # one agent at a time; the descent must not walk on into its levels
-        world = build_world(depot_xy=((0, 0), (2, 0), (4, 0), (6, 0)))
-        rs = region_state(world, [1, 2])
-        c = chain(*(incident(i, cell, minute * MS_PER_MINUTE)
-                    for i, (cell, minute) in enumerate(((5, 10), (1, 30), (7, 50)))))
-        params = MCTSParams(iterations=20, max_joint_actions=1)
-        result = mcts_search(rs, c, world, params)
-        assert result.decomposed
-        assert list(result.scores) == [((0, 3), (1, 0))]
-        tree = _Tree(rs, c, world, params)
-        tree.run(params.iterations)
-        assert tree.best_descent() == oracles.best_descent(tree)
 
 
 class TestDecompose:

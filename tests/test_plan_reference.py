@@ -1,11 +1,15 @@
 """The planner against its always-search reference.
 
 plan_region_allocations shares one root action set among a region's
-trees, decides single-action regions without a search, and scores each
-terminal leaf once. oracles.py keeps the loop that searches every region
-and the _evaluate that replays every leaf; on random tiny worlds every
-region's action and every tree's scores must be equal with ==.
+trees, decides single-action regions without a search, scores each
+terminal leaf once, and lists only the first max(2, iterations) joint
+actions of a node. oracles.py keeps the loop that searches every region,
+the _evaluate that replays every leaf and a _joint_choices that lists
+every action; on random tiny worlds every region's action and every
+tree's scores must be equal with ==.
 """
+
+import dataclasses
 
 import numpy as np
 import oracles
@@ -97,19 +101,31 @@ def tiny_plans(draw):
             multiplier=draw(st.sampled_from([1.0, 2.5, 6.0]))))
     model = DemandModel(rates=rates, spikes=spikes,
                         service=ServiceLaw(draw(st.sampled_from(["fixed", "exponential"]))))
-    params = MCTSParams(iterations=draw(st.integers(1, 40)),
+    # iterations below and above the root's joint count (1 to 1,680 here)
+    params = MCTSParams(iterations=draw(st.sampled_from([1, 2, 3, 5, 8, 40])),
                         discount=draw(st.sampled_from([0.99995, 0.999])),
-                        horizon_ms=draw(st.sampled_from([HOUR_MS // 2, HOUR_MS, 2 * HOUR_MS])),
-                        max_joint_actions=draw(st.sampled_from([10_000, 3, 1])))
+                        horizon_ms=draw(st.sampled_from([HOUR_MS // 2, HOUR_MS, 2 * HOUR_MS])))
     return (SystemState(clock, pending, agents), world, model, params,
             draw(st.integers(1, 4)), draw(st.integers(0, 1000)))
 
 
 def reference(fn, *args):
-    """fn run with the old _Tree._evaluate, which replays every leaf."""
+    """fn run with the old _Tree._evaluate, which replays every leaf, and
+    with every joint action listed at every node."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Tree, "_evaluate", oracles.tree_evaluate)
+        mp.setattr(lowlevel, "_joint_choices", oracles.joint_choices)
         return fn(*args)
+
+
+def region_chains(state, world, model, params, seed):
+    """(region state, chain) for each region with idle agents."""
+    for region in world.partition.regions():
+        rs = decompose(state, region, world)
+        if rs.state.idle_agents():
+            yield rs, lowlevel.sample_chain(
+                model.restrict(world.partition.cells_of(region)),
+                params.horizon_ms, seed, start_ms=state.clock_ms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,19 +137,32 @@ def test_plans_and_scores_equal_reference(case):
                          params, n_samples, seed)
     assert {r: p.action for r, p in plans.items()} == \
         {r: p.action for r, p in expected.items()}
-    for region in world.partition.regions():
-        rs = decompose(state, region, world)
-        if not rs.state.idle_agents():
-            continue
-        chain = lowlevel.sample_chain(model.restrict(world.partition.cells_of(region)),
-                                      params.horizon_ms, seed, start_ms=state.clock_ms)
+    for rs, chain in region_chains(state, world, model, params, seed):
         want = reference(mcts_search, rs, chain, world, params).scores
         assert mcts_search(rs, chain, world, params).scores == want
         # the planner's path: one root action set shared by the region's trees
-        choices = _joint_choices(rs, params.max_joint_actions)
+        choices = _joint_choices(rs, max(2, params.iterations))
         for _tree in range(2):
             got = mcts_search(rs, chain, world, params, root_choices=choices)
             assert got.scores == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tiny_plans())
+def test_capped_scores_equal_full_list_scores(case):
+    # a node lists max(2, iterations) joint actions: no fewer than the tree
+    # can expand, so the scores are those of a search over every action;
+    # iterations run from 1 to one past the root's joint count (up to 64)
+    state, world, model, params, _n_samples, seed = case
+    for rs, chain in region_chains(state, world, model, params, seed):
+        count = len(oracles.enumerate_actions(rs))
+        for iterations in {1, 2, count - 1, count, count + 1} & set(range(1, 65)):
+            params = dataclasses.replace(params, iterations=iterations)
+            capped = mcts_search(rs, chain, world, params)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lowlevel, "_joint_choices", oracles.joint_choices)
+                full = mcts_search(rs, chain, world, params)
+            assert capped.scores == full.scores
 
 
 def single_action_region():
@@ -202,11 +231,11 @@ def search_nodes(node):
         yield from search_nodes(child)
 
 
-def test_lone_action_kept_when_a_deeper_node_decomposes(monkeypatch):
+def test_lone_action_kept_when_a_deeper_node_is_capped(monkeypatch):
     # the idle agent's slot is the only free one, but both busy agents are
-    # free after 1 ms: at the next epoch more joint actions than
-    # max_joint_actions exist and that node assigns agents one at a time;
-    # the root still enumerated its one joint action, which is the answer
+    # free after 1 ms: the next epoch has 6 joint actions, and 2 iterations
+    # list 2 of them; the root still lists its one joint action, which is
+    # the answer, so the planner needs no tree
     world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
     state = fresh_state(world, [0, 1, 2])
     for agent in state.agents[1:]:
@@ -214,30 +243,39 @@ def test_lone_action_kept_when_a_deeper_node_decomposes(monkeypatch):
         agent.incident = incident(9, world.depot(agent.depot).cell, 0)
         agent.busy_until = 1
     model = DemandModel(rates=np.full(10, 2.0))
-    params = MCTSParams(iterations=8, max_joint_actions=1)
+    params = MCTSParams(iterations=2)
     stay = ((0, 0),)
 
     rs = decompose(state, 0, world)
     chain = IncidentChain([incident(0, 3, 10), incident(1, 7, HOUR_MS)],
                           params.horizon_ms)
     result = mcts_search(rs, chain, world, params)
-    assert any(node.to_assign is not None for node in search_nodes(result.root))
+    [child] = result.root.children.values()
+    assert len(child.children) + len(child.untried) == 2
     assert list(result.scores) == [stay]
-    assert not result.decomposed
 
     searched = []
     search = lowlevel.mcts_search
     monkeypatch.setattr(lowlevel, "mcts_search",
                         lambda *a, **k: searched.append(1) or search(*a, **k))
-    action = plan_region_allocations(state, world, model, params, 2, 0)[0].action
-    assert searched == []
-    assert action == stay
-    assert action == reference(oracles.plan_region_allocations, state, world,
-                               model, params, 2, 0)[0].action
+    for iterations in (1, 2):
+        params = MCTSParams(iterations=iterations)
+        action = plan_region_allocations(state, world, model, params, 2, 0)[0].action
+        assert searched == []
+        assert action == stay
+        assert action == reference(oracles.plan_region_allocations, state, world,
+                                   model, params, 2, 0)[0].action
+    # one idle agent and three free depots: one iteration still lists two
+    # actions, so the region is searched, each tree scoring the first
+    alone, params = fresh_state(world, [0]), MCTSParams(iterations=1)
+    plan = plan_region_allocations(alone, world, model, params, 2, 0)[0]
+    assert len(searched) == 2
+    assert plan.scores == reference(oracles.plan_region_allocations, alone, world,
+                                    model, params, 2, 0)[0].scores
 
 
 def terminal_nodes(node):
-    return [n for n in search_nodes(node) if n.terminal and n.to_assign is None]
+    return [n for n in search_nodes(node) if n.terminal]
 
 
 def test_terminal_leaf_is_played_once(monkeypatch, line_world):

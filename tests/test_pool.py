@@ -192,19 +192,39 @@ def test_failed_fork_stops_the_helpers_already_forked(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_incident_files_identical_with_and_without_a_helper(tmp_path, monkeypatch,
-                                                            starts):
-    cfg = load_config(os.path.join(CONFIG_DIR, "synthetic_nonstationary.yaml"))
-    cfg.seeds, cfg.horizon_hours = [1, 2], 8.0
-    cfg.validate()
+def files_with_and_without_a_helper(tmp_path, monkeypatch, cfg):
+    """The incident files and trajectory logs of cfg's seeds, run with no
+    helper and with one helper, by helper count."""
     outputs = {}
     for helpers in (0, 1):
         monkeypatch.setattr(coordinator, "helper_count", lambda _n, h=helpers: h)
         run_experiment(copy.deepcopy(cfg), tmp_path / str(helpers), trace=True)
         outputs[helpers] = {name: (tmp_path / str(helpers) / name).read_bytes()
-                            for name in ("incidents_seed1.csv", "incidents_seed2.csv",
-                                         "trajectory_seed1.log", "trajectory_seed2.log")}
+                            for seed in cfg.seeds for name in (
+                                f"incidents_seed{seed}.csv", f"trajectory_seed{seed}.log")}
+    return outputs
+
+
+def test_incident_files_identical_with_and_without_a_helper(tmp_path, monkeypatch,
+                                                            starts):
+    cfg = load_config(os.path.join(CONFIG_DIR, "synthetic_nonstationary.yaml"))
+    cfg.seeds, cfg.horizon_hours = [1, 2], 8.0
+    cfg.validate()
+    outputs = files_with_and_without_a_helper(tmp_path, monkeypatch, cfg)
     assert starts == [1, 1]  # one fork per seed's run, none without helpers
+    assert outputs[1] == outputs[0]
+
+
+def test_metro_files_identical_with_and_without_a_helper(tmp_path, monkeypatch,
+                                                         starts):
+    # the golden capped-root run of test_harness.py: roots of P(14, 6)
+    # joint actions, of which 128 iterations list 128
+    cfg = load_config(os.path.join(CONFIG_DIR, "metro30_preset.yaml"))
+    cfg.seeds, cfg.horizon_hours = [1], 4.0
+    cfg.mcts_iterations, cfg.n_samples = 128, 2
+    cfg.validate()
+    outputs = files_with_and_without_a_helper(tmp_path, monkeypatch, cfg)
+    assert starts == [1]
     assert outputs[1] == outputs[0]
 
 

@@ -89,8 +89,9 @@ def scenarios(draw):
         base_rate_per_hour=base_rate, hotspots=hotspots, spikes=spikes,
         failures=failures, seeds=[draw(st.integers(0, 1000))],
         mode=draw(st.sampled_from(["baseline", "lowlevel", "hierarchical"])),
-        mcts_iterations=draw(st.integers(4, 8)), n_samples=draw(st.integers(1, 2)),
-        max_joint_actions=draw(st.sampled_from([1, 10_000])))
+        # iterations below and above the regions' joint action counts
+        mcts_iterations=draw(st.sampled_from([1, 2, 4, 8])),
+        n_samples=draw(st.integers(1, 2)))
     return depots, config
 
 
@@ -109,8 +110,7 @@ def read_bytes(directory, prefix):
     hotspots=[{"gx": 0, "gy": 0, "rate_per_hour": 1.0}], spikes=[],
     failures=[{"agent_id": 0, "start_hour": 0.0, "duration_hours": 1.0},
               {"agent_id": 0, "start_hour": 1.0, "duration_hours": 1.0}],
-    seeds=[0], mode="baseline", mcts_iterations=4, n_samples=1,
-    max_joint_actions=10_000)))
+    seeds=[0], mode="baseline", mcts_iterations=4, n_samples=1)))
 def test_whole_run_invariants(scenario):
     depots, config = scenario
     with tempfile.TemporaryDirectory() as tmp:
