@@ -88,6 +88,10 @@ class PlannerConfig:
     replan_interval_ms: int = 60 * MS_PER_MINUTE
     eta_per_hour: float = 3.0
 
+    def __post_init__(self):
+        if self.replan_interval_ms < 1:
+            raise ValueError("replan_interval_ms must be >= 1")
+
 
 @dataclass
 class Transfer:

@@ -1,7 +1,7 @@
 """Scenario configuration, experiment orchestration, and result files.
 
 A scenario is a YAML file naming the grid, depots, demand surface, fleet,
-policy mode, test bed, and planner hyper-parameters. Every run writes
+policy mode, and planner hyper-parameters. Every run writes
 
 * incidents_seed<k>.csv - one row per dispatched incident,
 * summary.csv           - pooled distribution statistics,
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -38,7 +39,8 @@ from .lowlevel import MCTSParams
 from .simulator import Agent, AgentStatus, SystemState
 from .spatial import (Depot, RegionPartition, TravelModel, World, make_grid,
                       partition_regions)
-from .units import MS_PER_HOUR, MS_PER_MINUTE, hours_to_ms, seconds_to_ms
+from .units import (MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND, hours_to_ms,
+                    seconds_to_ms)
 
 
 class ConfigError(ValueError):
@@ -49,20 +51,9 @@ class ChainMismatch(ValueError):
     """compare() was given reports produced from different evaluation chains."""
 
 
-# each test bed and the keys of which it needs one
-_TEST_BEDS = {"stationary": (), "nonstationary": ("spikes",),
-              "failures": ("failures", "failure_file")}
-
-
+@functools.cache  # an abc's issubclass() is slow, and few types occur
 def _numeric(t, kind=numbers.Real) -> bool:  # a bool is no number here
     return issubclass(t, kind) and t is not bool
-
-
-def _check(rule, what: str, value) -> None:
-    """A ConfigError saying what value must be unless rule's test holds."""
-    ok, need = rule
-    if not ok(value):
-        raise ConfigError(f"{what} must be {need}")
 
 
 # Rules: (test, what a value must be); comparisons, not math.isfinite(),
@@ -72,71 +63,107 @@ _AT_LEAST_0 = (lambda v: 0 <= v < math.inf, "finite and >= 0")
 _AT_LEAST_1 = (lambda v: 1 <= v < math.inf, "finite and >= 1")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _PATH = (lambda v: v and isinstance(v, str), "a file path")
-# event times are int64 ms, up to the clock plus the planning window
-_HOURS = (lambda h: 0 < h and h * MS_PER_HOUR < 2**62, "positive and below 2**62 ms")
 _SEEDS = (lambda v: isinstance(v, list) and v != []  # each type once
           and all(_numeric(t, numbers.Integral) for t in set(map(type, v)))
           and min(v) >= 0, "a non-empty list of integers >= 0")
+_PAIRS = (lambda v: all(isinstance(c, list) and len(c) == 2 for c in v),
+          "a list of [gx, gy] pairs")
+
+
+def _ms(ms_per_unit: int, least: int):
+    """The rule of a time (least 0) or duration (least 1) in units of
+    ms_per_unit ms; event times are int64 ms, up to the clock plus the
+    planning window."""
+    return (lambda v: least - 0.5 < v * ms_per_unit < 2**62,
+            f"at least {least} ms once rounded to the ms, and below 2**62 ms")
 
 
 def _one_of(choices):
     return (lambda v: v in choices, f"one of {choices}")
 
 
-def _cell_id(cfg: ScenarioConfig, name: str, gx, gy) -> int:
-    """The row-major id of (gx, gy); a ConfigError naming the entry off the grid."""
-    if not (0 <= gx < cfg.grid_width and 0 <= gy < cfg.grid_height):
-        raise ConfigError(f"{name}: cell ({gx},{gy}) outside grid")
-    return gy * cfg.grid_width + gx
+# the numbers an int or a float key holds, and their word in an error
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
-def _check_spike(cfg: ScenarioConfig, name: str, s):
-    """The spike's (start_ms, end_ms, multiplier, region, cell ids); a ConfigError
-    naming it unless it has its keys, finite hours with start < end, a finite
-    multiplier >= 1, and a region or (gx, gy) cells that exist."""
-    try:
-        start = hours_to_ms(float(s["start_hour"]))
-        end = hours_to_ms(float(s["end_hour"]))
-        mult = float(s["multiplier"])
-        region = int(s["region"]) if "region" in s else None
-        cells = ([] if region is not None
-                 else [(int(gx), int(gy)) for gx, gy in s["cells"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: needs finite start_hour, end_hour, multiplier "
-                          "and 'region' or 'cells'") from exc
-    if start >= end:
-        raise ConfigError(f"{name}: start_hour must be before end_hour")
-    _check(_AT_LEAST_1, f"{name}: multiplier", mult)
-    if region is not None and region not in range(cfg.num_regions):
-        raise ConfigError(f"{name}: region {region} is not in "
-                          f"range(num_regions={cfg.num_regions})")
-    return start, end, mult, region, [_cell_id(cfg, name, *c) for c in cells]
+def _reader(where: str, record, typed: bool):
+    """read(key, kind, rule): kind(record[key]) if that raises no TypeError,
+    ValueError or OverflowError and rule's test accepts it, else a ConfigError
+    "<where>: <key> <value> must be <need>". record is a CSV row of text or,
+    typed, a config entry, whose int and float keys take YAML numbers of that
+    kind only (see _numeric)."""
+    def read(key, kind, rule):
+        raw = record[key]
+        number, word = _KINDS.get(kind.__name__, (object, ""))
+        try:
+            if not typed or _numeric(type(raw), number):
+                value = kind(raw)
+                if rule[0](value):
+                    return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ConfigError(f"{where}: {key} {raw!r} must be "
+                          f"{word}{', ' if word else ''}{rule[1]}")
+    return read
 
 
-def _check_hotspot(cfg: ScenarioConfig, name: str, h):
-    """The hotspot's (cell id, rate_per_hour); a ConfigError naming it unless
-    gx, gy lie inside the grid and rate_per_hour is finite and >= 0."""
-    try:
-        gx, gy, rate = int(h["gx"]), int(h["gy"]), float(h["rate_per_hour"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: needs gx, gy, rate_per_hour") from exc
-    cell = _cell_id(cfg, name, gx, gy)
-    _check(_AT_LEAST_0, f"{name}: rate_per_hour", rate)
-    return cell, rate
+def _entry(name: str, record, keys, **defaults):
+    """A reader (see _reader) for the config entry called name; a ConfigError
+    naming it unless it is a mapping with each of keys and no key outside
+    keys and defaults, the optional keys and their values."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{name}: must be a mapping, not {record!r}")
+    for key in record:
+        if key not in keys and key not in defaults:
+            raise ConfigError(f"{name}: {key} is not one of its keys "
+                              f"{[*keys, *defaults]}")
+    for key in keys:
+        if key not in record:
+            raise ConfigError(f"{name}: {key} is missing")
+    return _reader(name, {**defaults, **record}, typed=True)
 
 
-def _check_failure(cfg: ScenarioConfig, name: str, f) -> FailureEvent:
-    """The failure's event; a ConfigError naming it unless it has agent_id, a
-    finite start_hour and a finite duration_hours of at least 1 ms."""
-    try:
-        agent_id = int(f["agent_id"])
-        start_ms = hours_to_ms(float(f["start_hour"]))
-        duration_ms = hours_to_ms(float(f.get("duration_hours", 8.0)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: needs agent_id, finite start_hour "
-                          "and duration_hours") from exc
-    _check(_POSITIVE, f"{name}: duration_hours", duration_ms)
-    return FailureEvent(agent_id, start_ms, duration_ms)
+def _cell(read, width: int, height: int) -> int:
+    """The row-major id of a record's gx, gy cell on a width x height grid."""
+    gx = read("gx", int, (range(width).__contains__, f"in range({width})"))
+    gy = read("gy", int, (range(height).__contains__, f"in range({height})"))
+    return gy * width + gx
+
+
+def _read_hotspot(cfg: ScenarioConfig, name: str, h):
+    """The hotspot's (cell id, rate_per_hour)."""
+    read = _entry(name, h, ("gx", "gy", "rate_per_hour"))
+    return (_cell(read, cfg.grid_width, cfg.grid_height),
+            read("rate_per_hour", float, _AT_LEAST_0))
+
+
+def _read_spike(cfg: ScenarioConfig, name: str, s):
+    """The spike's (start_ms, end_ms, multiplier, region, cell ids): region
+    None and its cells' ids, or its region and []."""
+    read = _entry(name, s, ("start_hour", "end_hour", "multiplier"),
+                  region=None, cells=None)
+    if ("region" in s) == ("cells" in s):
+        raise ConfigError(f"{name}: exactly one of region and cells must be set")
+    start_ms = hours_to_ms(read("start_hour", float, _ms(MS_PER_HOUR, 0)))
+    end_ms = hours_to_ms(read("end_hour", float, (
+        lambda h: hours_to_ms(h) > start_ms, "after start_hour, in whole ms")))
+    mult = read("multiplier", float, _AT_LEAST_1)
+    if "region" in s:
+        n = cfg.num_regions
+        return start_ms, end_ms, mult, read("region", int, (
+            range(n).__contains__, f"in range(num_regions={n})")), []
+    return start_ms, end_ms, mult, None, [
+        _cell(_reader(f"{name}: cells[{j}]", dict(zip(("gx", "gy"), c)), typed=True),
+              cfg.grid_width, cfg.grid_height)
+        for j, c in enumerate(read("cells", list, _PAIRS))]
+
+
+def _read_failure(name: str, f) -> FailureEvent:
+    """The failure's event; duration_hours is 8 unless the entry sets it."""
+    read = _entry(name, f, ("agent_id", "start_hour"), duration_hours=8.0)
+    return FailureEvent(read("agent_id", int, _AT_LEAST_0),
+                        hours_to_ms(read("start_hour", float, _ms(MS_PER_HOUR, 0))),
+                        hours_to_ms(read("duration_hours", float, _ms(MS_PER_HOUR, 1))))
 
 
 def _check_failures(cfg: ScenarioConfig, named) -> None:
@@ -155,10 +182,10 @@ def _check_failures(cfg: ScenarioConfig, named) -> None:
         down_until[f.agent_id] = f.start_ms + f.duration_ms
 
 
-def _key(rule, default=MISSING, *, default_factory=MISSING, entry=None):
-    """A field validate() checks: its value with rule, a list's entries with entry."""
+def _key(rule, default=MISSING, *, default_factory=MISSING):
+    """A field validate() checks with rule."""
     return field(default=default, default_factory=default_factory,
-                 metadata={"rule": rule, "entry": entry})
+                 metadata={"rule": rule})
 
 
 @dataclass
@@ -173,54 +200,54 @@ class ScenarioConfig:
     num_agents: int = _key(_AT_LEAST_1, 26)
     num_regions: int = _key(_AT_LEAST_1, 5)
     mode: str = _key(_one_of(sorted(m.value for m in PolicyMode)), "baseline")
-    test_bed: str = _key(_one_of(tuple(_TEST_BEDS)), "stationary")
     seeds: list[int] = _key(_SEEDS, default_factory=lambda: [0, 1, 2, 3, 4])
-    horizon_hours: float = _key(_HOURS, 24.0)
+    horizon_hours: float = _key(_ms(MS_PER_HOUR, 1), 24.0)
     partition_seed: int = _key(_AT_LEAST_0, 0)
     # demand surface: uniform base plus optional hotspots, or a history file
     base_rate_per_hour: float = _key(_AT_LEAST_0, 0.0)
-    hotspots: list[dict] = _key(_LIST, default_factory=list, entry=_check_hotspot)
+    hotspots: list[dict] = _key(_LIST, default_factory=list)
     history_file: str | None = _key(_PATH, None)
     history_horizon_hours: float | None = _key(_POSITIVE, None)
-    service_minutes: float = _key(_POSITIVE, 20.0)
+    service_minutes: float = _key(_ms(MS_PER_MINUTE, 1), 20.0)
     service_law: str = _key(_one_of(SERVICE_LAWS), "fixed")
-    spikes: list[dict] = _key(_LIST, default_factory=list, entry=_check_spike)
-    failures: list[dict] = _key(_LIST, default_factory=list, entry=_check_failure)
+    spikes: list[dict] = _key(_LIST, default_factory=list)
+    failures: list[dict] = _key(_LIST, default_factory=list)
     failure_file: str | None = _key(_PATH, None)
     # planner hyper-parameters
     mcts_iterations: int = _key(_AT_LEAST_1, 1000)
     uct_c: float = _key(_AT_LEAST_0, 1.44)
     discount: float = _key((lambda v: 0 < v <= 1, "in (0, 1]"), 0.99995)
     n_samples: int = _key(_AT_LEAST_1, 50)
-    replan_minutes: float = _key(_POSITIVE, 60.0)
+    replan_minutes: float = _key(_ms(MS_PER_MINUTE, 1), 60.0)
     speed_mph: float = _key(_POSITIVE, 30.0)
-    planning_horizon_hours: float = _key(_HOURS, 2.0)
+    planning_horizon_hours: float = _key(_ms(MS_PER_HOUR, 1), 2.0)
 
-    def validate(self) -> None:
+    def validate(self):
+        """Check the keys; return the hotspots' (cell id, rate) pairs, the spikes'
+        tuples (see _read_spike) and the failures' (name, FailureEvent) pairs."""
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.type.endswith("None"):
                 continue
-            if f.type == "int" and not _numeric(type(value), numbers.Integral):
-                raise ConfigError(f"{f.name}: must be an integer, not {value!r}")
-            if f.type.startswith("float") and not _numeric(type(value)):
-                raise ConfigError(f"{f.name}: must be a number, not {value!r}")
-            _check(f.metadata["rule"], f"{f.name}:", value)
-            if f.metadata["entry"]:
-                for i, entry in enumerate(value):
-                    f.metadata["entry"](self, f"{f.name}[{i}]", entry)
+            number, word = _KINDS.get(f.type.removesuffix(" | None"), (None, ""))
+            if word and not _numeric(type(value), number):
+                raise ConfigError(f"{f.name}: must be {word}, not {value!r}")
+            ok, need = f.metadata["rule"]
+            if not ok(value):
+                raise ConfigError(f"{f.name}: must be {need}")
+        hotspots = [_read_hotspot(self, f"hotspots[{i}]", h)
+                    for i, h in enumerate(self.hotspots)]
+        spikes = [_read_spike(self, f"spikes[{i}]", s)
+                  for i, s in enumerate(self.spikes)]
+        failures = [(f"failures[{i}]", _read_failure(f"failures[{i}]", f))
+                    for i, f in enumerate(self.failures)]
         if not (self.base_rate_per_hour > 0 or self.hotspots or self.history_file):
             raise ConfigError("base_rate_per_hour: no demand: set "
                               "base_rate_per_hour, hotspots, or history_file")
-        inline = [(f"failures[{i}]", _check_failure(self, f"failures[{i}]", f))
-                  for i, f in enumerate(self.failures)]
-        _check_failures(self, inline)
+        _check_failures(self, failures)
         if self.history_file and self.history_horizon_hours is None:
             raise ConfigError("history_horizon_hours: required with history_file")
-        needs = _TEST_BEDS[self.test_bed]
-        if needs and not any(getattr(self, key) for key in needs):
-            raise ConfigError(f"{needs[0]}: {self.test_bed} test bed requires "
-                              f"{' or '.join(needs)}")
+        return hotspots, spikes, failures
 
     @property
     def eta_per_hour(self) -> float:
@@ -262,7 +289,7 @@ class Scenario:
     horizon_ms: int
 
 
-def _build_rates(cfg: ScenarioConfig, num_cells: int) -> np.ndarray:
+def _build_rates(cfg: ScenarioConfig, num_cells: int, hotspots) -> np.ndarray:
     """Per-cell rates; a ConfigError unless some cell's rate is positive
     (a later hotspot on a cell replaces an earlier one's rate)."""
     if cfg.history_file:
@@ -278,8 +305,7 @@ def _build_rates(cfg: ScenarioConfig, num_cells: int) -> np.ndarray:
         rates = fit_rates(history, cfg.history_horizon_hours, num_cells).rates
     else:
         rates = np.full(num_cells, float(cfg.base_rate_per_hour))
-        for i, h in enumerate(cfg.hotspots):
-            cell, rate = _check_hotspot(cfg, f"hotspots[{i}]", h)
+        for cell, rate in hotspots:
             rates[cell] = rate
     if not rates.sum() > 0:
         raise ConfigError(f"{'history_file' if cfg.history_file else 'hotspots'}: "
@@ -287,16 +313,12 @@ def _build_rates(cfg: ScenarioConfig, num_cells: int) -> np.ndarray:
     return rates
 
 
-def _build_spikes(cfg: ScenarioConfig, partition: RegionPartition) -> list[SpikeWindow]:
-    """The config's spike windows."""
-    spikes = []
-    for i, s in enumerate(cfg.spikes):
-        start_ms, end_ms, mult, region, cells = _check_spike(cfg, f"spikes[{i}]", s)
-        if region is not None:
-            cells = partition.cells_of(region)
-        spikes.append(SpikeWindow(cells=frozenset(cells), start_ms=start_ms,
-                                  end_ms=end_ms, multiplier=mult))
-    return spikes
+def _build_spikes(spikes, partition: RegionPartition) -> list[SpikeWindow]:
+    """The windows of the spikes validate() read."""
+    return [SpikeWindow(cells=frozenset(cells if region is None
+                                        else partition.cells_of(region)),
+                        start_ms=start_ms, end_ms=end_ms, multiplier=mult)
+            for start_ms, end_ms, mult, region, cells in spikes]
 
 
 # A chain's expected incidents must stay within this: each takes a few hundred
@@ -305,7 +327,7 @@ def _build_spikes(cfg: ScenarioConfig, partition: RegionPartition) -> list[Spike
 _MAX_CHAIN_INCIDENTS = 1e8
 
 
-def _check_demand(cfg: ScenarioConfig, rates: np.ndarray, spikes) -> None:
+def _check_demand(cfg: ScenarioConfig, rates: np.ndarray, spikes, hotspots) -> None:
     """A ConfigError unless the rates' sum times the largest product of
     multipliers whose windows overlap times the longer horizon, a bound on
     a chain's expected incident count, is within _MAX_CHAIN_INCIDENTS; it
@@ -324,17 +346,15 @@ def _check_demand(cfg: ScenarioConfig, rates: np.ndarray, spikes) -> None:
         values["history_horizon_hours"] = float(rates.sum())
     else:
         values["base_rate_per_hour"] = cfg.base_rate_per_hour * len(rates)
-        values.update((f"hotspots[{i}]", float(h["rate_per_hour"]))
-                      for i, h in enumerate(cfg.hotspots))
+        values.update((f"hotspots[{i}]", rate) for i, (_, rate) in enumerate(hotspots))
     raise ConfigError(f"{max(values, key=values.get)}: a chain may hold {bound:.3g} "
                       f"incidents, more than {_MAX_CHAIN_INCIDENTS:.0e}")
 
 
-def _build_failures(cfg: ScenarioConfig) -> list[FailureEvent]:
-    """The failure events of the config and of its failure file, sorted by
-    start and checked together (see _check_failures)."""
-    named = [(f"failures[{i}]", _check_failure(cfg, f"failures[{i}]", f))
-             for i, f in enumerate(cfg.failures)]
+def _build_failures(cfg: ScenarioConfig, named) -> list[FailureEvent]:
+    """The failure events of named, the inline failures validate() read,
+    and of the failure file, sorted by start and checked together (see
+    _check_failures)."""
     if cfg.failure_file:
         path = _resolve(cfg, cfg.failure_file)
         named += [(f"failure file {path} row {n}", f)
@@ -345,35 +365,15 @@ def _build_failures(cfg: ScenarioConfig) -> list[FailureEvent]:
 
 
 def _rows(path, what: str, columns: tuple[str, ...]):
-    """A reader per row of a CSV file that has the given columns.
-
-    read(key, parse, need, ok) returns parse(row[key]) if it raises no
-    TypeError, ValueError or OverflowError and ok accepts it; otherwise it
-    raises a ConfigError naming the file, the row (counted from 1 after
-    the header), the key, and what the value must be (need).
-    """
+    """A reader (see _reader) per row of a CSV file that has the given
+    columns; its errors name the file and the row, counted from 1 after
+    the header."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
             raise ConfigError(f"{what} file {path}: expected columns {sorted(columns)}")
         for n, row in enumerate(reader, start=1):
-            def read(key, parse, need, ok=lambda _value: True):
-                try:
-                    value = parse(row[key])
-                    if ok(value):
-                        return value
-                except (TypeError, ValueError, OverflowError):
-                    pass
-                raise ConfigError(f"{what} file {path} row {n}: {key} "
-                                  f"{row[key]!r} must be {need}")
-            yield read
-
-
-def _cell(read, width: int, height: int) -> int:
-    """The row-major id of a row's gx, gy cell on a width x height grid."""
-    gx = read("gx", int, f"an integer in range({width})", range(width).__contains__)
-    gy = read("gy", int, f"an integer in range({height})", range(height).__contains__)
-    return gy * width + gx
+            yield _reader(f"{what} file {path} row {n}", row, typed=False)
 
 
 def load_depot_file(path, width: int, height: int) -> list[Depot]:
@@ -382,11 +382,11 @@ def load_depot_file(path, width: int, height: int) -> list[Depot]:
     key (see _rows)."""
     depots: dict[int, Depot] = {}
     for read in _rows(path, "depot", ("depot_id", "gx", "gy", "capacity")):
-        depot_id = read("depot_id", int, "an integer no earlier row has",
-                        lambda i: i not in depots)
+        depot_id = read("depot_id", int, (lambda i: i not in depots,
+                                          "one no earlier row has"))
         cell = _cell(read, width, height)
-        capacity = read("capacity", int, "an integer >= 1", lambda c: c >= 1)
-        depots[depot_id] = Depot(id=depot_id, cell=cell, capacity=capacity)
+        depots[depot_id] = Depot(id=depot_id, cell=cell,
+                                 capacity=read("capacity", int, _AT_LEAST_1))
     return list(depots.values())
 
 
@@ -397,9 +397,9 @@ def load_history(path, width: int, height: int) -> list[tuple[int, int]]:
     a UTC offset where row 1 has none, or the reverse (no order exists)."""
     rows, aware = [], None  # aware: row 1's timestamp has a UTC offset
     for read in _rows(path, "history", ("incident_id", "timestamp_iso8601", "gx", "gy")):
-        ts = read("timestamp_iso8601", datetime.fromisoformat, "an ISO 8601 "
-                  "time, with a UTC offset if and only if row 1 has one",
-                  lambda t: aware in (None, t.utcoffset() is not None))
+        ts = read("timestamp_iso8601", datetime.fromisoformat, (
+            lambda t: aware in (None, t.utcoffset() is not None),
+            "an ISO 8601 time, with a UTC offset if and only if row 1 has one"))
         aware = ts.utcoffset() is not None
         rows.append((ts, _cell(read, width, height)))
     t0 = min((ts for ts, _ in rows), default=None)
@@ -409,18 +409,16 @@ def load_history(path, width: int, height: int) -> list[tuple[int, int]]:
 def load_failure_schedule(path) -> list[FailureEvent]:
     """Read agent_id,start_time_s,duration_s rows. A bad row raises a
     ConfigError naming the file, the row and the key (see _rows)."""
-    def ms(seconds):
-        return seconds_to_ms(float(seconds))
-    return [FailureEvent(read("agent_id", int, "an integer"),
-                         read("start_time_s", ms, "a number"),
-                         read("duration_s", ms, "a number of seconds that "
-                              "rounds to 1 ms or more", lambda d: d > 0))
+    start, duration = _ms(MS_PER_SECOND, 0), _ms(MS_PER_SECOND, 1)
+    return [FailureEvent(read("agent_id", int, _AT_LEAST_0),
+                         seconds_to_ms(read("start_time_s", float, start)),
+                         seconds_to_ms(read("duration_s", float, duration)))
             for read in _rows(path, "failure",
                               ("agent_id", "start_time_s", "duration_s"))]
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    cfg.validate()
+    hotspots, spikes, failures = cfg.validate()
     cells = make_grid(cfg.grid_width, cfg.grid_height, cfg.cell_size_miles)
     depots = load_depot_file(_resolve(cfg, cfg.depot_file), cfg.grid_width,
                              cfg.grid_height)
@@ -429,11 +427,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if cfg.num_regions > len(depots):
         raise ConfigError(f"num_regions: {cfg.num_regions} exceeds the "
                           f"{len(depots)} depots (every region needs one)")
-    rates = _build_rates(cfg, len(cells))
+    rates = _build_rates(cfg, len(cells), hotspots)
     partition = partition_regions(cells, rates, depots, cfg.num_regions,
                                   cfg.partition_seed)
-    spikes = _build_spikes(cfg, partition)
-    _check_demand(cfg, rates, spikes)
+    spikes = _build_spikes(spikes, partition)
+    _check_demand(cfg, rates, spikes, hotspots)
     service = ServiceLaw(kind=cfg.service_law,
                          mean_ms=int(round(cfg.service_minutes * MS_PER_MINUTE)))
     model = DemandModel(rates=rates, spikes=spikes, service=service)
@@ -441,7 +439,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                   travel=TravelModel(speed_mph=cfg.speed_mph),
                   partition=partition)
     return Scenario(config=cfg, world=world, model=model,
-                    failures=_build_failures(cfg),
+                    failures=_build_failures(cfg, failures),
                     horizon_ms=hours_to_ms(cfg.horizon_hours))
 
 

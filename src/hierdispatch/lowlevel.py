@@ -201,7 +201,7 @@ class SearchNode:
         self.untried = None
         self.idle_ids = ()
         self.terminal = terminal
-        self.tail = None  # playout cost of a terminal node, once known
+        self.tail = None  # playout cost, once known
 
 
 @dataclass
@@ -282,22 +282,17 @@ class _Tree:
     def _evaluate(self, node: SearchNode) -> float:
         """Total trajectory cost from the root through this node's playout.
 
-        A terminal node's state never changes, so its playout runs once;
-        with nothing pending it costs 0.0, which is what _play gives.
+        The chain fixes a node's future, so its playout runs once; a
+        terminal node with nothing pending costs 0.0, which is what _play
+        gives.
         """
-        if node.terminal:
-            if node.tail is None:
-                node.tail = 0.0
-                if node.state.pending:
-                    node.tail = _play(node.state.clone(), self.incidents,
-                                      node.chain_pos, self.world,
-                                      self.params.discount, self.t0, self.end_ms,
-                                      stop_after_incident=False)[0]
-            return node.cost_from_root + node.tail
-        tail, _pos, _done = _play(node.state.clone(), self.incidents, node.chain_pos,
+        if node.tail is None:
+            node.tail = 0.0
+            if not node.terminal or node.state.pending:
+                node.tail = _play(node.state.clone(), self.incidents, node.chain_pos,
                                   self.world, self.params.discount, self.t0,
-                                  self.end_ms, stop_after_incident=False)
-        return node.cost_from_root + tail
+                                  self.end_ms, stop_after_incident=False)[0]
+        return node.cost_from_root + node.tail
 
     def run(self, iterations: int) -> None:
         for _ in range(iterations):

@@ -123,6 +123,12 @@ class TestStaleness:
         result = coord.run(state, chain(), horizon_ms=59 * MS_PER_MINUTE)
         assert result.planner_seconds == []
 
+    @pytest.mark.parametrize("interval_ms", [0, -1])
+    def test_interval_below_1_ms_rejected(self, interval_ms):
+        # the run would push its planning tick at one millisecond forever
+        with pytest.raises(ValueError, match="replan_interval_ms must be >= 1"):
+            PlannerConfig(replan_interval_ms=interval_ms)
+
 
 class TestFailures:
     def test_mid_response_failure_completes_incident(self, line_world):

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 from dataclasses import fields
 
 import pytest
@@ -63,15 +64,22 @@ class TestConfig:
         cfg.service_minutes = 0
         with pytest.raises(ConfigError, match="service_minutes"):
             cfg.validate()
-        cfg = tiny_config(tmp_path)
-        cfg.test_bed = "nonstationary"
-        with pytest.raises(ConfigError, match="spikes"):
-            cfg.validate()
+
+    def test_test_bed_named(self, tmp_path):
+        # the key is retired: the test bed follows from spikes and failures,
+        # so a config that still sets it fails at load
+        p = tmp_path / "old.yaml"
+        p.write_text(f"grid_width: 6\ngrid_height: 6\n"
+                     f"depot_file: {tiny_config(tmp_path).depot_file}\n"
+                     "base_rate_per_hour: 0.1\ntest_bed: stationary\n")
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['test_bed'\]$"):
+            load_config(p)
 
     def test_spike_cell_outside_grid_named(self, tmp_path):
         # gx 7 on a 6-wide grid would wrap to cell (1, 1)
         spike = dict(cells=[[7, 0]], start_hour=1.0, end_hour=2.0, multiplier=2.0)
-        with pytest.raises(ConfigError, match=r"spikes\[0\]: cell \(7,0\) outside grid"):
+        with pytest.raises(ConfigError, match=r"^spikes\[0\]: cells\[0\]: gx 7 must be "
+                           r"an integer, in range\(6\)$"):
             tiny_config(tmp_path, spikes=[spike])
 
     def test_spike_region_out_of_range_named(self, tmp_path):
@@ -84,9 +92,11 @@ class TestConfig:
 
     def test_spike_start_not_before_end_named(self, tmp_path):
         spike = dict(region=0, start_hour=3.0, end_hour=3.0, multiplier=2.0)
-        with pytest.raises(ConfigError, match=r"spikes\[0\]: start_hour"):
+        with pytest.raises(ConfigError, match=r"^spikes\[0\]: end_hour 3.0 must be "
+                           r"a number, after start_hour"):
             tiny_config(tmp_path, spikes=[spike])
-        with pytest.raises(ConfigError, match=r"spikes\[0\]: start_hour"):
+        with pytest.raises(ConfigError, match=r"^spikes\[0\]: end_hour 2.0 must be "
+                           r"a number, after start_hour"):
             tiny_config(tmp_path, spikes=[dict(spike, end_hour=2.0)])
 
     def test_spike_multiplier_below_one_named(self, tmp_path):
@@ -95,15 +105,17 @@ class TestConfig:
             tiny_config(tmp_path, spikes=[spike])
 
     def test_spike_missing_keys_named(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"spikes\[0\]: needs"):
+        with pytest.raises(ConfigError, match=r"^spikes\[0\]: end_hour is missing$"):
             tiny_config(tmp_path, spikes=[dict(region=0, start_hour=1.0)])
-        with pytest.raises(ConfigError, match=r"spikes\[0\]: needs"):
+        with pytest.raises(ConfigError, match=r"^spikes\[0\]: exactly one of region "
+                           r"and cells must be set$"):
             tiny_config(tmp_path, spikes=[dict(start_hour=1.0, end_hour=2.0,
                                                multiplier=2.0)])
 
     def test_hotspot_rate_not_a_number_named(self, tmp_path):
         hotspot = {"gx": 1, "gy": 1, "rate_per_hour": "busy"}
-        with pytest.raises(ConfigError, match=r"hotspots\[1\]: needs"):
+        with pytest.raises(ConfigError, match=r"^hotspots\[1\]: rate_per_hour 'busy' "
+                           r"must be a number"):
             tiny_config(tmp_path, hotspots=[dict(hotspot, rate_per_hour=0.8), hotspot])
 
     def test_hotspot_negative_rate_named(self, tmp_path):
@@ -113,7 +125,8 @@ class TestConfig:
 
     def test_failure_start_not_a_number_named(self, tmp_path):
         failure = {"agent_id": 1, "start_hour": "noon", "duration_hours": 2.0}
-        with pytest.raises(ConfigError, match=r"failures\[0\]: needs"):
+        with pytest.raises(ConfigError, match=r"^failures\[0\]: start_hour 'noon' "
+                           r"must be a number"):
             tiny_config(tmp_path, failures=[failure])
 
     @pytest.mark.parametrize("hours", [0.0, -1.0])
@@ -153,10 +166,71 @@ class TestConfig:
         ("base_rate_per_hour", float("nan")),
         ("seeds", [1, -1]),                   # numpy: expected non-negative integer
         ("partition_seed", -1),
+        # each rounds to 0 ms: a run that never ends, "mean service duration
+        # must be positive" at build, "horizon must be positive" in a run
+        ("replan_minutes", 1e-6),
+        ("service_minutes", 1e-9),
+        ("horizon_hours", 1e-9),
+        ("planning_horizon_hours", 1e-9),
     ])
     def test_value_out_of_range_named(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^{key}: must be"):
             tiny_config(tmp_path, **{key: value})
+
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(failures=[dict(agent_id=2.7, start_hour=2.0)]), "failures[0]: agent_id 2.7"),
+        (dict(failures=[dict(agent_id=True, start_hour=2.0)]), "failures[0]: agent_id True"),
+        (dict(failures=[dict(agent_id=1, start_hour="2")]), "failures[0]: start_hour '2'"),
+        (dict(failures=[dict(agent_id=1, start_hour=2.0, duration_hours=True)]),
+         "failures[0]: duration_hours True"),
+        (dict(hotspots=[dict(gx=2.9, gy=1, rate_per_hour=0.5)]), "hotspots[0]: gx 2.9"),
+        (dict(hotspots=[dict(gx=1, gy="1", rate_per_hour=0.5)]), "hotspots[0]: gy '1'"),
+        (dict(hotspots=[dict(gx=1, gy=1, rate_per_hour=True)]),
+         "hotspots[0]: rate_per_hour True"),
+        (dict(spikes=[dict(region=1.8, start_hour=1.0, end_hour=2.0, multiplier=2.0)]),
+         "spikes[0]: region 1.8"),
+        (dict(spikes=[dict(region=1, start_hour="1", end_hour=2.0, multiplier=2.0)]),
+         "spikes[0]: start_hour '1'"),
+        (dict(spikes=[dict(region=1, start_hour=0.0, end_hour=True, multiplier=2.0)]),
+         "spikes[0]: end_hour True"),
+        (dict(spikes=[dict(region=1, start_hour=1.0, end_hour=2.0, multiplier=True)]),
+         "spikes[0]: multiplier True"),
+        (dict(spikes=[dict(cells=[[1, 1.0]], start_hour=1.0, end_hour=2.0,
+                           multiplier=2.0)]), "spikes[0]: cells[0]: gy 1.0"),
+    ])
+    def test_entry_value_of_wrong_type_named(self, tmp_path, overrides, named):
+        # each was read as a number at load: agent 2.7 was agent 2, a True
+        # multiplier 1.0, a quoted start hour 2.0
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(named)} must be (an integer|a number)"):
+            tiny_config(tmp_path, **overrides)
+
+    @pytest.mark.parametrize("overrides, message", [
+        # a typo: the failure lasted the default 8 h
+        (dict(failures=[dict(agent_id=2, start_hour=2.0, duration=1.0)]),
+         r"failures\[0\]: duration is not one of its keys "
+         r"\['agent_id', 'start_hour', 'duration_hours'\]"),
+        (dict(hotspots=[dict(gx=1, gy=1, rate=0.5)]),
+         r"hotspots\[0\]: rate is not one of its keys \['gx', 'gy', 'rate_per_hour'\]"),
+        # cells were dropped
+        (dict(spikes=[dict(region=0, cells=[[1, 1]], start_hour=1.0, end_hour=2.0,
+                           multiplier=2.0)]),
+         r"spikes\[0\]: exactly one of region and cells must be set"),
+    ])
+    def test_entry_key_outside_its_set_named(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            tiny_config(tmp_path, **overrides)
+
+    def test_failure_starting_before_the_run_named(self, tmp_path):
+        # a run stopped with "cannot advance backwards (0 -> -60000)"
+        with pytest.raises(ConfigError, match=r"^failures\[0\]: start_hour -1.0 must be"):
+            tiny_config(tmp_path, failures=[dict(agent_id=0, start_hour=-1.0)])
+        p = tmp_path / "failures.csv"
+        p.write_text("agent_id,start_time_s,duration_s\n0,-60,60\n")
+        cfg = tiny_config(tmp_path, failure_file=str(p))
+        with pytest.raises(ConfigError, match=r"^failure file \S+failures.csv row 1: "
+                           r"start_time_s '-60' must be"):
+            build_scenario(cfg)
 
     @pytest.mark.parametrize("overrides, named", [
         # numpy's "lam value too large" in a lowlevel run
@@ -660,8 +734,23 @@ class TestCLI:
                          str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("hierdispatch: error: failures[0]: needs agent_id, "
-                                "finite start_hour and duration_hours\n")
+        assert captured.err == ("hierdispatch: error: failures[0]: duration_hours inf "
+                                "must be a number, at least 1 ms once rounded to "
+                                "the ms, and below 2**62 ms\n")
+
+    def test_run_failure_before_the_run_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        (tmp_path / "failures.csv").write_text("agent_id,start_time_s,duration_s\n"
+                                               "0,-60,600\n")
+        cfg.write_text(cfg.read_text() + "failure_file: failures.csv\n")
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"hierdispatch: error: failure file "
+                                f"{tmp_path / 'failures.csv'} row 1: start_time_s "
+                                "'-60' must be a number, at least 0 ms once rounded "
+                                "to the ms, and below 2**62 ms\n")
 
     def test_run_empty_history_fails_in_one_line(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
