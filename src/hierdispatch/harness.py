@@ -235,6 +235,10 @@ class ScenarioConfig:
             ok, need = f.metadata["rule"]
             if not ok(value):
                 raise ConfigError(f"{f.name}: must be {need}")
+        diag = math.hypot(self.grid_width, self.grid_height) * self.cell_size_miles
+        if not (diag * diag < math.inf and diag / self.speed_mph * 3.6e6 < 2**62):
+            raise ConfigError("cell_size_miles, speed_mph: a trip across the grid must have "
+                              "a finite squared length and take below 2**62 ms")
         hotspots = [_read_hotspot(self, f"hotspots[{i}]", h)
                     for i, h in enumerate(self.hotspots)]
         spikes = [_read_spike(self, f"spikes[{i}]", s)

@@ -19,6 +19,10 @@ most one child per iteration, so a node lists only the first
 max(2, iterations) of them, made lazily: a region of any size costs no
 more than that, and the search is what it would be over the full list.
 
+A root child expanded while the root has an untried action for each
+iteration left is never selected, as each later one expands another
+first: its playout runs on its own state, and it keeps state None.
+
 Scores are discounted response-time costs (seconds), so lower is better;
 node utilities are stored negated so UCB keeps its usual argmax form.
 Selection normalizes the exploitation term to [0, 1] with the tree's
@@ -184,7 +188,7 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
 class SearchNode:
     """One decision epoch in the tree. Nodes link only to their children: a
     dropped tree holds no reference cycle, so reference counting frees it
-    at once."""
+    at once. A root child no iteration reaches keeps state None."""
 
     __slots__ = ("state", "chain_pos", "cost_from_root", "visits", "utility_sum",
                  "children", "untried", "terminal", "idle_ids", "tail")
@@ -279,37 +283,42 @@ class _Tree:
                 best, best_score = child, score
         return best
 
-    def _evaluate(self, node: SearchNode) -> float:
+    def _evaluate(self, node: SearchNode, last: bool = False) -> float:
         """Total trajectory cost from the root through this node's playout.
 
-        The chain fixes a node's future, so its playout runs once; a
-        terminal node with nothing pending costs 0.0, which is what _play
-        gives.
+        The chain fixes a node's future, so it plays once: on a clone of its
+        state, or when last (no iteration reaches it again) on the state, then
+        dropped. A terminal node with nothing pending costs 0.0, as _play gives.
         """
         if node.tail is None:
             node.tail = 0.0
             if not node.terminal or node.state.pending:
-                node.tail = _play(node.state.clone(), self.incidents, node.chain_pos,
-                                  self.world, self.params.discount, self.t0,
-                                  self.end_ms, stop_after_incident=False)[0]
+                node.tail = _play(node.state if last else node.state.clone(), self.incidents,
+                                  node.chain_pos, self.world, self.params.discount,
+                                  self.t0, self.end_ms, stop_after_incident=False)[0]
+        if last:
+            node.state = None
         return node.cost_from_root + node.tail
 
     def run(self, iterations: int) -> None:
-        for _ in range(iterations):
-            node = self.root
+        for left in range(iterations, 0, -1):
+            node, last = self.root, False
             path = [node]
             while not node.terminal:
                 if node.untried is None:  # a node's actions, once it is reached
+                    assert node.state is not None, "reached a root child that kept no state"
                     view = RegionState(self.region, node.state, self.depots)
                     node.idle_ids, node.untried = _joint_choices(
                         view, max(2, self.params.iterations))
                 if node.untried:
+                    # the root has an untried action for each later iteration
+                    last = node is self.root and len(node.untried) >= left
                     node = self._expand(node)
                     path.append(node)
                     break
                 node = self._select(node)
                 path.append(node)
-            total = self._evaluate(node)
+            total = self._evaluate(node, last)
             self.cost_lo = min(self.cost_lo, total)
             self.cost_hi = max(self.cost_hi, total)
             for node in path:
@@ -328,7 +337,7 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
     max(2, params.iterations) of its joint actions, all that the tree's
     iterations can expand (see the module docstring); root_choices, when
     given, is that list for rs, shared by the region's trees; otherwise
-    the tree works it out itself.
+    the tree works it out itself. Unreachable root children keep no state.
     """
     if not rs.state.idle_agents():
         return MCTSResult(scores={}, root=SearchNode(rs.state.clone(), 0, 0.0),

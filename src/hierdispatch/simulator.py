@@ -6,17 +6,19 @@ transitions (arrive at scene, finish service, head home, reach depot) up
 to the target time, so callers may jump the clock to any future event.
 
 The clock is integer milliseconds. Travel durations round up to the next
-tick, which keeps effective speeds at or below nominal.
+tick, which keeps effective speeds at or below nominal. Travel and its
+rounding are computed inline, equal bit for bit to TravelModel.travel_time
+and units.ceil_ms, which define them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import ceil, hypot
 
 from .demand import Incident
 from .spatial import Position, World
-from .units import ceil_ms
 
 
 class AgentBusy(Exception):
@@ -120,7 +122,7 @@ def _begin_move(agent: Agent, t_ms: int, dest: Position, travel_s: float) -> Non
     agent.move_from = agent.position
     agent.move_started_ms = t_ms
     agent.destination = dest
-    agent.arrive_ms = t_ms + ceil_ms(travel_s)
+    agent.arrive_ms = t_ms + ceil(travel_s * 1000 - 1e-9)  # units.ceil_ms, inline
 
 
 def advance(state: SystemState, to_ms: int, world: World) -> SystemState:
@@ -139,8 +141,9 @@ def advance(state: SystemState, to_ms: int, world: World) -> SystemState:
                 agent.busy_until = None
                 agent.incident = None
                 status = agent.status = _IN_TRANSIT
-                home = world.depot_pos(agent.depot)
-                _begin_move(agent, t, home, world.travel.travel_time(agent.position, home))
+                home, pos = world.depot_pos(agent.depot), agent.position
+                _begin_move(agent, t, home, hypot(home[0] - pos[0], home[1] - pos[1])
+                            / world.travel.speed_mph * 3600.0)
             elif agent.arrive_ms <= to_ms:  # moving: responding or in_transit
                 agent.position = agent.destination
                 if status is _RESPONDING:
@@ -218,8 +221,9 @@ def assign_depot(state: SystemState, agent_id: int, depot_id: int,
         agent.arrive_ms = None
     else:
         agent.status = _IN_TRANSIT
-        _begin_move(agent, state.clock_ms, dest,
-                    world.travel.travel_time(agent.position, dest))
+        pos = agent.position
+        _begin_move(agent, state.clock_ms, dest, hypot(dest[0] - pos[0], dest[1] - pos[1])
+                    / world.travel.speed_mph * 3600.0)
     return state
 
 
@@ -243,10 +247,11 @@ def greedy_dispatch_pending(state: SystemState,
     records = []
     pending = state.pending
     clock = state.clock_ms
-    travel_time = world.travel.travel_time
+    speed = world.travel.speed_mph
     while pending:
         incident = pending[0]
         target = world.cell_pos(incident.cell)
+        tx, ty = target
         best = None
         for a in state.agents:  # dispatchable: free, and not failed now
             if a.status is not _WAITING and a.status is not _IN_TRANSIT:
@@ -254,7 +259,8 @@ def greedy_dispatch_pending(state: SystemState,
             window = a.failure_window
             if window is not None and window[0] <= clock < window[1]:
                 continue
-            t = travel_time(a.position, target)
+            pos = a.position
+            t = hypot(tx - pos[0], ty - pos[1]) / speed * 3600.0
             if best is None or t < best_t or (t == best_t and a.id < best.id):
                 best, best_t = a, t
         if best is None:

@@ -201,6 +201,7 @@ class World:
 
     def __post_init__(self):
         self._depot_by_id = {d.id: d for d in self.depots}
+        self._depot_pos = {d.id: self.cells[d.cell].centroid for d in self.depots}
 
     def cell_pos(self, cell_id: int) -> Position:
         return self.cells[cell_id].centroid
@@ -209,7 +210,7 @@ class World:
         return self._depot_by_id[depot_id]
 
     def depot_pos(self, depot_id: int) -> Position:
-        return self.cells[self._depot_by_id[depot_id].cell].centroid
+        return self._depot_pos[depot_id]
 
     def depots_in(self, region: int) -> list[Depot]:
         assert self.partition is not None

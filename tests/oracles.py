@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from hierdispatch.demand import Incident, IncidentChain, _segments
-from hierdispatch.lowlevel import (RegionPlan, SearchNode, _travel, decompose,
-                                   mcts_search, sample_chain)
+from hierdispatch.lowlevel import (RegionPlan, RegionState, SearchNode, _travel,
+                                   decompose, mcts_search, sample_chain)
 from hierdispatch.queueing import QueueParams, _check_stable
 from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
                                     UnknownIncident)
@@ -381,10 +381,12 @@ def _play(state: SystemState, incidents: list[Incident], pos: int, world: World,
 # search of single-action regions and scored terminal leaves once, kept
 # verbatim: plan_region_allocations always searches, and tree_evaluate
 # (the old _Tree._evaluate) replays every leaf from a fresh clone, through
-# the reference _play above. The property test in test_plan_reference.py
-# patches tree_evaluate into _Tree and joint_choices, which lists every
-# joint action, into lowlevel, and checks the package's plans and scores
-# against these with ==.
+# the reference _play above. tree_expand and tree_run are _Tree._expand and
+# _Tree.run from before root children that no iteration reaches dropped
+# their state: every node keeps its state, and run lists every joint
+# action (joint_choices for _joint_choices). The property test in
+# test_plan_reference.py patches the three into _Tree and checks the
+# package's plans and scores against these with ==.
 
 def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
                             params: MCTSParams, n_samples: int, seed,
@@ -437,6 +439,41 @@ def tree_evaluate(self, node: SearchNode) -> float:
                               self.params.discount, self.t0, self.end_ms,
                               stop_after_incident=False)
     return node.cost_from_root + tail
+
+
+def tree_expand(self, node: SearchNode) -> SearchNode:
+    action = tuple(zip(node.idle_ids, node.untried.pop(0)))
+    state = node.state.clone()
+    apply_allocation(state, action, self.world)
+    cost, pos, done = _play(state, self.incidents, node.chain_pos, self.world,
+                            self.params.discount, self.t0, self.end_ms,
+                            stop_after_incident=True)
+    child = SearchNode(state, pos, node.cost_from_root + cost, terminal=done)
+    node.children[action] = child
+    return child
+
+
+def tree_run(self, iterations: int) -> None:
+    for _ in range(iterations):
+        node = self.root
+        path = [node]
+        while not node.terminal:
+            if node.untried is None:  # a node's actions, once it is reached
+                view = RegionState(self.region, node.state, self.depots)
+                node.idle_ids, node.untried = joint_choices(
+                    view, max(2, self.params.iterations))
+            if node.untried:
+                node = self._expand(node)
+                path.append(node)
+                break
+            node = self._select(node)
+            path.append(node)
+        total = self._evaluate(node)
+        self.cost_lo = min(self.cost_lo, total)
+        self.cost_hi = max(self.cost_hi, total)
+        for node in path:
+            node.visits += 1
+            node.utility_sum -= total
 
 
 # -- reference chain sampler ---------------------------------------------

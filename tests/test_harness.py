@@ -266,6 +266,10 @@ class TestConfig:
          r"spikes\[0\]"),
         (dict(base_rate_per_hour=1e17), "base_rate_per_hour"),
         (dict(horizon_hours=1e11), "horizon_hours"),  # ~3e11 incidents, never run
+        # partition_regions' squared distances overflow (a RuntimeWarning)
+        (dict(cell_size_miles=1e200), "cell_size_miles, speed_mph"),
+        # a mean response time of 4.7e303 s
+        (dict(speed_mph=1e-300), "cell_size_miles, speed_mph"),
     ])
     def test_out_of_range_fails_at_load(self, tmp_path, monkeypatch, overrides, named):
         monkeypatch.chdir(tmp_path)

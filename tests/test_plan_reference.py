@@ -2,11 +2,13 @@
 
 plan_region_allocations shares one root action set among a region's
 trees, decides single-action regions without a search, scores each
-terminal leaf once, and lists only the first max(2, iterations) joint
-actions of a node. oracles.py keeps the loop that searches every region,
-the _evaluate that replays every leaf and a _joint_choices that lists
-every action; on random tiny worlds every region's action and every
-tree's scores must be equal with ==.
+terminal leaf once, lists only the first max(2, iterations) joint
+actions of a node, and keeps no state on a root child that no iteration
+can select. oracles.py keeps the loop that searches every region, the
+_evaluate that replays every leaf from a clone, and the _expand and run
+with which every node keeps its state and lists every action; on random
+tiny worlds every region's action and every tree's scores must be equal
+with ==.
 """
 
 import dataclasses
@@ -110,11 +112,13 @@ def tiny_plans(draw):
 
 
 def reference(fn, *args):
-    """fn run with the old _Tree._evaluate, which replays every leaf, and
-    with every joint action listed at every node."""
+    """fn run with the old _Tree._expand, _evaluate and run: every node
+    keeps its state and lists every joint action, and every leaf is
+    replayed from a clone."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tree, "_expand", oracles.tree_expand)
         mp.setattr(_Tree, "_evaluate", oracles.tree_evaluate)
-        mp.setattr(lowlevel, "_joint_choices", oracles.joint_choices)
+        mp.setattr(_Tree, "run", oracles.tree_run)
         return fn(*args)
 
 
@@ -142,9 +146,13 @@ def test_plans_and_scores_equal_reference(case):
         assert mcts_search(rs, chain, world, params).scores == want
         # the planner's path: one root action set shared by the region's trees
         choices = _joint_choices(rs, max(2, params.iterations))
+        # a root listing an action for each iteration never selects a child,
+        # and every child keeps no state; a narrower root's children keep it
+        wide = len(choices[1]) >= params.iterations
         for _tree in range(2):
             got = mcts_search(rs, chain, world, params, root_choices=choices)
             assert got.scores == want
+            assert {child.state is None for child in got.root.children.values()} <= {wide}
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,6 +280,27 @@ def test_lone_action_kept_when_a_deeper_node_is_capped(monkeypatch):
     assert len(searched) == 2
     assert plan.scores == reference(oracles.plan_region_allocations, alone, world,
                                     model, params, 2, 0)[0].scores
+
+
+def test_unreachable_root_children_keep_no_state(line_world):
+    # one agent, two depots: the root lists 2 actions; with 2 iterations
+    # both children are played on their own state, with 3 the third
+    # iteration selects one, so both keep theirs
+    rs = lowlevel.RegionState(0, fresh_state(line_world, [0]), line_world.depots)
+    chain = IncidentChain([incident(i, 2 + i, (i + 1) * 600_000) for i in range(4)],
+                          2 * HOUR_MS)
+    for iterations, stateless in ((2, True), (3, False)):
+        params = MCTSParams(iterations=iterations)
+        got = mcts_search(rs, chain, line_world, params)
+        assert len(got.root.children) == 2
+        assert all((child.state is None) == stateless and not child.terminal
+                   for child in got.root.children.values())
+        assert got.scores == reference(mcts_search, rs, chain, line_world, params).scores
+    # a further iteration selects a child that kept no state: it stops there
+    tree = _Tree(rs, chain, line_world, MCTSParams(iterations=2))
+    tree.run(2)
+    with pytest.raises(AssertionError, match="kept no state"):
+        tree.run(1)
 
 
 def terminal_nodes(node):

@@ -31,13 +31,13 @@ def tiny_worlds(draw):
     """(world, state, incidents, end_ms) with every agent waiting at a depot."""
     width = draw(st.integers(1, 6))
     height = draw(st.integers(1, 3))
-    cells = make_grid(width, height, draw(st.sampled_from([0.5, 1.0, 1.7])))
+    cells = make_grid(width, height, draw(st.floats(0.1, 3.0)))
     depot_cells = draw(st.lists(st.integers(0, len(cells) - 1), min_size=1,
                                 max_size=min(4, len(cells)), unique=True))
     depots = [Depot(id=i, cell=c, capacity=draw(st.integers(1, 2)))
               for i, c in enumerate(depot_cells)]
     world = World(cells=cells, depots=depots,
-                  travel=TravelModel(draw(st.sampled_from([17.0, 30.0, 55.5]))))
+                  travel=TravelModel(draw(st.floats(0.5, 120.0))))
     slots = [d.id for d in depots for _ in range(d.capacity)]
     n_agents = draw(st.integers(1, min(6, len(slots))))
     homes = draw(st.permutations(slots))[:n_agents]
