@@ -4,7 +4,7 @@ decision-space reduction that regional decomposition buys.
 Run from the repository root:  python3 demos/01_city_and_regions.py
 """
 
-from hierdispatch import build_scenario, joint_action_count, load_config
+from hierdispatch import allocate, build_scenario, joint_action_count, load_config
 
 scenario = build_scenario(load_config("configs/synthetic_default.yaml"))
 world = scenario.world
@@ -39,8 +39,8 @@ print(f"one region,   6 depots /  4 agents : {joint_action_count(6, 4)}")
 print(f"5 regions combined                 : {5 * joint_action_count(6, 4)}")
 
 print("\nthis city's per-region action counts (all agents idle):")
-from hierdispatch import allocate_for_partition
-alloc = allocate_for_partition(part, scenario.config.num_agents, eta=3.0)
+alloc = allocate(part.region_rate, scenario.config.num_agents,
+                 scenario.model.service.rate_per_hour, caps=part.region_slots)
 for r in part.regions():
     n_depots = len(part.region_depots[r])
     n_agents = alloc.counts[r]

@@ -14,7 +14,7 @@ from .demand import (DemandModel, EmptyHistory, Incident, IncidentChain,
 from .harness import (ChainMismatch, MetricsReport, ScenarioConfig,
                       build_scenario, compare, initial_state, load_config,
                       run_experiment)
-from .highlevel import Allocation, allocate, allocate_for_partition
+from .highlevel import Allocation, allocate
 from .lowlevel import (MCTSParams, MCTSResult, RegionState, decompose,
                        joint_action_count, mcts_search, plan_region_allocations)
 from .queueing import QueueParams, Unstable, mean_wait, p0, wait_probability

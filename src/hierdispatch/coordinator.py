@@ -7,9 +7,10 @@ responder failures. Planner policy by mode (the config's `mode`):
 * baseline      - never re-allocates after initialization.
 * lowlevel      - per-region depot search after every incident and on
                   staleness (60 min without planning by default).
-* hierarchical  - low-level plus the inter-region allocator, run on
-                  failures, recoveries, staleness, and whenever a
-                  region's effective utilization crosses a threshold.
+* hierarchical  - low-level plus the inter-region allocator (its μ is
+                  the model's ServiceLaw.rate_per_hour), run on failures,
+                  recoveries, staleness, and whenever a region's
+                  effective utilization crosses a threshold.
 
 An agent that fails mid-response finishes its current incident; the
 failure window only blocks new dispatches and excludes it from
@@ -86,7 +87,6 @@ class PlannerConfig:
     mcts: MCTSParams = field(default_factory=MCTSParams)
     n_samples: int = 50
     replan_interval_ms: int = 60 * MS_PER_MINUTE
-    eta_per_hour: float = 3.0
 
     def __post_init__(self):
         if self.replan_interval_ms < 1:
@@ -164,6 +164,7 @@ class Coordinator:
         self._decision_index = 0
         self._pool = None  # set while run() plans
         self._rates = {}  # spike phase -> region rates (see _region_rates)
+        self._eta = model.service.rate_per_hour  # the top level's μ
 
     # -- event helpers -------------------------------------------------
     def _push(self, heap, time_ms, kind, payload_id, payload=None):
@@ -186,19 +187,16 @@ class Coordinator:
                           rec.incident.id, f"dispatched rt={rec.response_s:.3f}")
 
     # -- planning ------------------------------------------------------
-    def _available_counts(self, state: SystemState) -> dict[int, int]:
+    def _available(self, state: SystemState):
+        """Per region: (agents not failed, slots not held by a failed one)."""
         counts = {r: 0 for r in self.world.partition.regions()}
-        for a in state.agents:
-            if not a.is_failed(state.clock_ms):
-                counts[a.region] += 1
-        return counts
-
-    def _region_caps(self, state: SystemState) -> dict[int, int]:
         caps = dict(self.world.partition.region_slots)
         for a in state.agents:
             if a.is_failed(state.clock_ms):
-                caps[a.region] -= 1  # parked failed agent holds a slot
-        return caps
+                caps[a.region] -= 1
+            else:
+                counts[a.region] += 1
+        return counts, caps
 
     def _region_rates(self, t_ms: int) -> dict[int, float]:
         """region_rates_at(model, partition, t_ms), once per spike phase:
@@ -209,19 +207,16 @@ class Coordinator:
         return self._rates[phase]
 
     def _instability(self, state: SystemState) -> bool:
-        counts = self._available_counts(state)
-        eta = self.planner.eta_per_hour
-        return any(_utilization(rate, eta, counts[r]) >= 1
+        counts, _caps = self._available(state)
+        return any(_utilization(rate, self._eta, counts[r]) >= 1
                    for r, rate in self._region_rates(state.clock_ms).items())
 
     def _run_high_level(self, state: SystemState, result: RunResult) -> None:
-        rates = self._region_rates(state.clock_ms)
-        counts = self._available_counts(state)
+        counts, caps = self._available(state)
         total = sum(counts.values())
         if total < 1:
             return
-        alloc = allocate(rates, total, eta=self.planner.eta_per_hour,
-                         caps=self._region_caps(state))
+        alloc = allocate(self._region_rates(state.clock_ms), total, self._eta, caps=caps)
         if alloc.counts != counts:
             moved = apply_region_rebalance(state, counts, alloc.counts, self.world)
             result.transfers.extend(moved)

@@ -50,6 +50,10 @@ class ServiceLaw:
         if self.mean_ms <= 0:
             raise ValueError("mean service duration must be positive")
 
+    @property
+    def rate_per_hour(self) -> float:  # services per agent-hour: the top level's μ
+        return MS_PER_HOUR / self.mean_ms
+
     def sample(self, rng: np.random.Generator) -> int:
         if self.kind == "fixed":
             return self.mean_ms

@@ -19,6 +19,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -34,7 +35,7 @@ from .coordinator import (Coordinator, FailureEvent, PlannerConfig,
                           PolicyMode)
 from .demand import (SERVICE_LAWS, DemandModel, ServiceLaw, SpikeWindow,
                      fit_rates, sample_chain)
-from .highlevel import allocate_for_partition
+from .highlevel import allocate
 from .lowlevel import MCTSParams
 from .simulator import Agent, AgentStatus, SystemState
 from .spatial import (Depot, RegionPartition, TravelModel, World, make_grid,
@@ -68,6 +69,9 @@ _SEEDS = (lambda v: isinstance(v, list) and v != []  # each type once
           and min(v) >= 0, "a non-empty list of integers >= 0")
 _PAIRS = (lambda v: all(isinstance(c, list) and len(c) == 2 for c in v),
           "a list of [gx, gy] pairs")
+# A grid's most cells: build_scenario makes a Cell, a region entry and k-means rows
+# per cell (10**6, k=5: ~13 s and ~550 MB on one core; metro has 900)
+_MAX_CELLS = 10**6
 
 
 def _ms(ms_per_unit: int, least: int):
@@ -235,6 +239,8 @@ class ScenarioConfig:
             ok, need = f.metadata["rule"]
             if not ok(value):
                 raise ConfigError(f"{f.name}: must be {need}")
+        if self.grid_width * self.grid_height > _MAX_CELLS:
+            raise ConfigError(f"grid_width, grid_height: more than {_MAX_CELLS:.0e} cells")
         diag = math.hypot(self.grid_width, self.grid_height) * self.cell_size_miles
         if not (diag * diag < math.inf and diag / self.speed_mph * 3.6e6 < 2**62):
             raise ConfigError("cell_size_miles, speed_mph: a trip across the grid must have "
@@ -253,14 +259,16 @@ class ScenarioConfig:
             raise ConfigError("history_horizon_hours: required with history_file")
         return hotspots, spikes, failures
 
-    @property
-    def eta_per_hour(self) -> float:
-        return 60.0 / self.service_minutes
-
 
 def load_config(path) -> ScenarioConfig:
     with open(path) as f:
-        raw = yaml.safe_load(f) or {}
+        try:
+            raw = yaml.safe_load(f) or {}
+        except yaml.YAMLError as exc:  # its own text spans several lines
+            mark = getattr(exc, "problem_mark", None)
+            where = f" line {mark.line + 1} column {mark.column + 1}" if mark else ""
+            why = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ConfigError(f"config file {path}{where}: not valid YAML ({why})")
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping")
     keys = fields(ScenarioConfig)
@@ -454,16 +462,15 @@ def initial_state(scenario: Scenario) -> SystemState:
     Every mode starts from this same placement, so differences between
     policies come from re-allocation behavior alone.
     """
-    cfg = scenario.config
-    world = scenario.world
-    alloc = allocate_for_partition(world.partition, cfg.num_agents,
-                                   eta=cfg.eta_per_hour)
+    world, part = scenario.world, scenario.world.partition
+    alloc = allocate(part.region_rate, scenario.config.num_agents,
+                     scenario.model.service.rate_per_hour, caps=part.region_slots)
     agents = []
-    for region in world.partition.regions():
+    for region in part.regions():
         depots = sorted(world.depots_in(region),
                         key=lambda d: (-scenario.model.rates[d.cell], d.id))
-        slots = [d for d in depots for _ in range(d.capacity)]
-        for depot in slots[:alloc.counts[region]]:
+        slots = (d for d in depots for _ in range(d.capacity))
+        for depot in itertools.islice(slots, alloc.counts[region]):
             pos = world.depot_pos(depot.id)
             agents.append(Agent(id=len(agents), position=pos, destination=pos,
                                 status=AgentStatus.WAITING, region=region,
@@ -551,8 +558,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir, trace: bool = False,
                         discount=cfg.discount,
                         horizon_ms=hours_to_ms(cfg.planning_horizon_hours)),
         n_samples=cfg.n_samples,
-        replan_interval_ms=int(round(cfg.replan_minutes * MS_PER_MINUTE)),
-        eta_per_hour=cfg.eta_per_hour)
+        replan_interval_ms=int(round(cfg.replan_minutes * MS_PER_MINUTE)))
 
     all_rt: list[float] = []
     planner_seconds: list[float] = []

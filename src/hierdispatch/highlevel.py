@@ -4,7 +4,9 @@ Phase 1 walks regions in order of decreasing arrival rate, adding agents
 until each region's aggregate service rate covers its arrival rate.
 Phase 2 spends any surplus one agent at a time on the region with the
 largest marginal waiting-time reduction J = w(x) - w(x+1); regions that
-are still unstable get priority, worst utilization first.
+are still unstable get priority, worst utilization first. A region is an
+M/M/c queue whose μ (eta) is the rate the simulator and the search
+rollouts serve at: 1 / the run's mean service, ServiceLaw.rate_per_hour.
 """
 
 from __future__ import annotations
@@ -41,34 +43,32 @@ def _utilization(rate: float, eta: float, x: int) -> float:
     return rate / (eta * x)
 
 
-def allocate(rates: Mapping[int, float], total_agents: int, eta: float = 3.0,
+def allocate(rates: Mapping[int, float], total_agents: int, eta: float,
              caps: Mapping[int, int] | None = None) -> Allocation:
     """Distribute total_agents across regions given arrival rates.
 
-    rates: region id -> events/hour. eta: per-agent service rate (events/
-    hour). caps: optional per-region maximum (e.g. depot slots). The
-    result always satisfies sum(x) == total_agents and x >= 0; regions
-    left with utilization >= 1 are flagged unstable, and starved marks
-    budgets too small to seed every region.
+    rates: region id -> events/hour. eta: μ, services per agent-hour
+    (ServiceLaw.rate_per_hour). caps: optional per-region maximum (e.g.
+    depot slots). The result always satisfies sum(x) == total_agents and
+    x >= 0; regions left with utilization >= 1 are flagged unstable, and
+    starved marks budgets too small to seed every region.
     """
     if total_agents < 1:
         raise ValueError("total_agents must be >= 1")
     if eta <= 0:
         raise ValueError("eta must be positive")
     regions = sorted(rates)
-    if caps is not None and sum(caps.get(r, 0) for r in regions) < total_agents:
+    cap = {r: math.inf if caps is None else caps.get(r, 0) for r in regions}
+    if sum(cap.values()) < total_agents:
         raise ValueError("total_agents exceeds the sum of region caps")
     x = {r: 0 for r in regions}
-
-    def cap_of(r):
-        return math.inf if caps is None else caps.get(r, 0)
 
     # Phase 1: seed regions in order of decreasing arrival rate until each
     # one's service capacity covers its arrivals.
     assigned = 0
     order = sorted(regions, key=lambda r: (-rates[r], r))
     for r in order:
-        while assigned < total_agents and x[r] < cap_of(r):
+        while assigned < total_agents and x[r] < cap[r]:
             x[r] += 1
             assigned += 1
             if eta * x[r] >= rates[r]:
@@ -78,7 +78,7 @@ def allocate(rates: Mapping[int, float], total_agents: int, eta: float = 3.0,
 
     # Phase 2: spend the surplus on the largest marginal benefit.
     while assigned < total_agents:
-        open_regions = [r for r in regions if x[r] < cap_of(r)]
+        open_regions = [r for r in regions if x[r] < cap[r]]
         unstable = [r for r in open_regions if _utilization(rates[r], eta, x[r]) >= 1]
         if unstable:
             best = max(unstable, key=lambda r: (_utilization(rates[r], eta, x[r]), -r))
@@ -93,12 +93,6 @@ def allocate(rates: Mapping[int, float], total_agents: int, eta: float = 3.0,
                 if rates[r] > 0 and _utilization(rates[r], eta, x[r]) >= 1}
     starved = any(x[r] == 0 for r in regions)
     return Allocation(counts=x, unstable=unstable, starved=starved)
-
-
-def allocate_for_partition(partition, total_agents: int, eta: float = 3.0) -> Allocation:
-    """Allocate over a RegionPartition, capped by per-region depot slots."""
-    return allocate(partition.region_rate, total_agents, eta=eta,
-                    caps=partition.region_slots)
 
 
 def total_expected_wait(rates: Mapping[int, float], counts: Mapping[int, int],

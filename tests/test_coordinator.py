@@ -6,7 +6,8 @@ import pytest
 
 from hierdispatch import (Coordinator, DemandModel, FailureEvent, Incident,
                           IncidentChain, MCTSParams, PlannerConfig, PolicyMode,
-                          SystemState, apply_region_rebalance)
+                          ServiceLaw, SystemState, allocate,
+                          apply_region_rebalance)
 from hierdispatch import coordinator, lowlevel
 from hierdispatch.coordinator import EventKind
 from hierdispatch.simulator import AgentStatus, dispatch
@@ -264,9 +265,29 @@ class TestHierarchicalTriggers:
         for a in state.agents:
             if not a.is_failed(state.clock_ms):
                 counts[a.region] += 1
-        from hierdispatch import allocate
         expected = allocate({left: 5.0, right: 1.0}, 3, eta=3.0)
         assert counts == expected.counts
+
+    def test_top_level_serves_at_the_service_laws_rate(self, monkeypatch):
+        # a 30-minute service is 2 per agent-hour; the default planner
+        # settings hold no rate of their own to plan the top level at
+        world = two_region_world()
+        model = DemandModel(rates=np.full(len(world.cells), 0.05),
+                            service=ServiceLaw(mean_ms=30 * MS_PER_MINUTE))
+        etas = []
+
+        def spy(rates, total_agents, eta, caps=None):
+            etas.append(eta)
+            return allocate(rates, total_agents, eta, caps=caps)
+
+        monkeypatch.setattr(coordinator, "allocate", spy)
+        coord = Coordinator(world, model, PolicyMode.HIERARCHICAL,
+                            planner=PlannerConfig())
+        result = coord.run(fresh_state(world, [0, 1, 2, 3]), chain(),
+                           horizon_ms=2 * MS_PER_MINUTE,
+                           failures=[FailureEvent(agent_id=0, start_ms=60_000)])
+        assert len(result.planner_seconds) == 1  # the failure's decision
+        assert etas == [2.0]
 
     def test_baseline_ignores_failures_for_planning(self):
         world = two_region_world()

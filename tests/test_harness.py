@@ -13,7 +13,7 @@ from hierdispatch import (ChainMismatch, compare, joint_action_count, load_confi
 from hierdispatch.harness import (ConfigError, ScenarioConfig, build_scenario,
                                   chain_for_seed, initial_state,
                                   load_failure_schedule)
-from hierdispatch import cli, coordinator, lowlevel
+from hierdispatch import cli, coordinator, harness, lowlevel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 INF = float("inf")
@@ -47,6 +47,14 @@ class TestConfig:
         p.write_text("grid_width: 4\ngrid_height: 4\ndepot_file: d.csv\n"
                      "not_a_key: 1\n")
         with pytest.raises(ConfigError, match="not_a_key"):
+            load_config(p)
+
+    def test_malformed_yaml_named(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_text("grid_width: [1, 2\ngrid_height: 4\n")
+        with pytest.raises(ConfigError, match=rf"^config file {re.escape(str(p))} "
+                           r"line 2 column 12: not valid YAML \(expected ',' or "
+                           r"'\]', but got ':'\)$"):
             load_config(p)
 
     def test_missing_required_named(self, tmp_path):
@@ -270,6 +278,9 @@ class TestConfig:
         (dict(cell_size_miles=1e200), "cell_size_miles, speed_mph"),
         # a mean response time of 4.7e303 s
         (dict(speed_mph=1e-300), "cell_size_miles, speed_mph"),
+        # a bare OverflowError from math.hypot; make_grid of 10**18 cells
+        (dict(grid_width=10**400), "grid_width, grid_height"),
+        (dict(grid_width=10**9, grid_height=10**9), "grid_width, grid_height"),
     ])
     def test_out_of_range_fails_at_load(self, tmp_path, monkeypatch, overrides, named):
         monkeypatch.chdir(tmp_path)
@@ -345,6 +356,41 @@ class TestScenario:
         s2 = initial_state(sc)
         assert [(a.id, a.region, a.depot) for a in s1.agents] == \
                [(a.id, a.region, a.depot) for a in s2.agents]
+
+    def test_huge_depot_capacity_placed_lazily(self, tmp_path):
+        # a list entry per depot slot took ~0.2 s and ~80 MB at capacity
+        # 10**7, so 10**12 would need terabytes
+        cfg = tiny_config(tmp_path, seeds=[1], horizon_hours=1.0)
+        placed, response_times = [], []
+        for capacity in (3, 10**12):
+            with open(cfg.depot_file, "w") as f:
+                f.write(f"depot_id,gx,gy,capacity\n0,1,1,{capacity}\n"
+                        "1,4,1,1\n2,1,4,1\n3,4,4,1\n")
+            placed.append([(a.region, a.depot) for a in
+                           initial_state(build_scenario(cfg)).agents])
+            response_times.append(run_experiment(
+                cfg, tmp_path / str(capacity)).response_times_s)
+        assert placed[0] == placed[1] and response_times[0] == response_times[1]
+
+    @pytest.mark.parametrize("minutes, rate", [(20.0, 3.0), (30.0, 2.0)])
+    def test_initial_allocation_serves_at_the_service_laws_rate(
+            self, tmp_path, monkeypatch, minutes, rate):
+        etas, allocate = [], harness.allocate
+
+        def spy(rates, total_agents, eta, caps=None):
+            etas.append(eta)
+            return allocate(rates, total_agents, eta, caps=caps)
+
+        monkeypatch.setattr(harness, "allocate", spy)
+        initial_state(build_scenario(tiny_config(tmp_path, service_minutes=minutes)))
+        assert etas == [rate]
+
+    def test_shipped_service_rates(self):
+        for name in sorted(os.listdir(CONFIG_DIR)):
+            if name.endswith(".yaml"):
+                cfg = load_config(os.path.join(CONFIG_DIR, name))
+                law = build_scenario(cfg).model.service
+                assert law.rate_per_hour == 60 / cfg.service_minutes, name
 
     def test_history_file_demand(self, tmp_path):
         hist = tmp_path / "history.csv"
@@ -729,6 +775,17 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == ("hierdispatch: error: unknown config keys: "
                                 "['not_a_key']\n")
+
+    def test_run_malformed_yaml_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text("grid_width: [1, 2\n" + cfg.read_text())
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"hierdispatch: error: config file {cfg} line 2 "
+                                "column 11: not valid YAML (expected ',' or ']', "
+                                "but got ':')\n")
 
     def test_run_infinite_failure_fails_in_one_line(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

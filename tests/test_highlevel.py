@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hierdispatch import QueueParams, allocate, mean_wait
-from hierdispatch.highlevel import _wait, allocate_for_partition, total_expected_wait
+from hierdispatch.highlevel import _wait, total_expected_wait
 from hierdispatch.spatial import Depot, make_grid, partition_regions
 
 from oracles import best_allocation
@@ -69,7 +69,7 @@ class TestAllocate:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            allocate({0: 1.0}, total_agents=0)
+            allocate({0: 1.0}, total_agents=0, eta=3.0)
         with pytest.raises(ValueError):
             allocate({0: 1.0}, total_agents=1, eta=0.0)
 
@@ -106,7 +106,8 @@ class TestPartitionAllocation:
         weights = np.array([5.0, 0.1, 0.1, 0.1, 0.1, 0.2])
         depots = [Depot(id=0, cell=0), Depot(id=1, cell=5), Depot(id=2, cell=4)]
         part = partition_regions(cells, weights, depots, k=2, seed=0)
-        out = allocate_for_partition(part, total_agents=3, eta=3.0)
+        out = allocate(part.region_rate, total_agents=3, eta=3.0,
+                       caps=part.region_slots)
         for r, x in out.counts.items():
             assert x <= part.region_slots[r]
         assert sum(out.counts.values()) == 3
