@@ -260,10 +260,41 @@ class ScenarioConfig:
         return hotspots, spikes, failures
 
 
+class _Loader(yaml.SafeLoader):
+    """safe_load's loader, with two more errors at the node: a mapping that
+    repeats one of its own keys (merge keys are not its own), and an
+    integer too long for int()."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _value in node.value if isinstance(node, yaml.MappingNode) else ():
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark)
+            except TypeError:  # unhashable: PyYAML's own error follows
+                continue
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc),
+                                                    node.start_mark) from None
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+
+
 def load_config(path) -> ScenarioConfig:
     with open(path) as f:
         try:
-            raw = yaml.safe_load(f) or {}
+            raw = yaml.load(f, Loader=_Loader) or {}
         except yaml.YAMLError as exc:  # its own text spans several lines
             mark = getattr(exc, "problem_mark", None)
             where = f" line {mark.line + 1} column {mark.column + 1}" if mark else ""

@@ -15,13 +15,15 @@ chain under the default policy: greedy dispatch, no redistribution.
 
 A node's actions are the joint depot assignments of its idle agents,
 expanded in lexicographic order of their depot tuples. A tree adds at
-most one child per iteration, so a node lists only the first
-max(2, iterations) of them, made lazily: a region of any size costs no
-more than that, and the search is what it would be over the full list.
-
-A root child expanded while the root has an untried action for each
-iteration left is never selected, as each later one expands another
-first: its playout runs on its own state, and it keeps state None.
+most one child per iteration, so every node, the root too, lists only
+the first max(2, iterations) of them when first reached: a region of
+any size costs no more than that, and the search is what it would be
+over the full list. The root's state is the region state's own and is
+only read: an expansion clones the state it acts on, and the root is
+never a leaf. A root child expanded while the root has an untried
+action for each iteration left is never selected, as each later one
+expands another first: its playout runs on its own state, and it keeps
+state None.
 
 Scores are discounted response-time costs (seconds), so lower is better;
 node utilities are stored negated so UCB keeps its usual argmax form.
@@ -61,7 +63,7 @@ def _travel(assignment, positions: dict, world: World) -> float:
 
 @dataclass
 class RegionState:
-    """Projection of the full system onto one region."""
+    """One region's part of the system; a search only reads its state."""
 
     region: int
     state: SystemState
@@ -239,7 +241,7 @@ def _in_window(chain: IncidentChain, t0_ms: int, horizon_ms: int) -> list[Incide
 
 class _Tree:
     def __init__(self, rs: RegionState, chain: IncidentChain, world: World,
-                 params: MCTSParams, root_choices=...):
+                 params: MCTSParams):
         self.world = world
         self.params = params
         self.t0 = rs.state.clock_ms
@@ -247,13 +249,9 @@ class _Tree:
         self.region = rs.region
         self.depots = rs.depots
         self.incidents = _in_window(chain, self.t0, params.horizon_ms)
-        self.root = SearchNode(rs.state.clone(), 0, 0.0,
-                               terminal=not self.incidents)
+        self.root = SearchNode(rs.state, 0, 0.0, terminal=not self.incidents)
         self.cost_lo = math.inf
         self.cost_hi = -math.inf
-        if root_choices is not ...:  # a copy: _expand pops, sibling trees share
-            self.root.idle_ids = root_choices[0]
-            self.root.untried = list(root_choices[1])
 
     def _expand(self, node: SearchNode) -> SearchNode:
         action = tuple(zip(node.idle_ids, node.untried.pop(0)))
@@ -327,7 +325,7 @@ class _Tree:
 
 
 def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
-                params: MCTSParams, root_choices=...) -> MCTSResult:
+                params: MCTSParams) -> MCTSResult:
     """Score the region's root allocation actions against one chain,
     keyed by assignment tuple ((agent id, depot id), ...), () the pass.
 
@@ -335,14 +333,12 @@ def mcts_search(rs: RegionState, chain: IncidentChain, world: World,
     itself is deterministic. Regions with no idle agents need no decision
     and yield an empty score map. Every node lists the first
     max(2, params.iterations) of its joint actions, all that the tree's
-    iterations can expand (see the module docstring); root_choices, when
-    given, is that list for rs, shared by the region's trees; otherwise
-    the tree works it out itself. Unreachable root children keep no state.
+    iterations can expand (see the module docstring); rs.state is read,
+    never changed. Unreachable root children keep no state.
     """
     if not rs.state.idle_agents():
-        return MCTSResult(scores={}, root=SearchNode(rs.state.clone(), 0, 0.0),
-                          iterations=0)
-    tree = _Tree(rs, chain, world, params, root_choices)
+        return MCTSResult(scores={}, root=SearchNode(rs.state, 0, 0.0), iterations=0)
+    tree = _Tree(rs, chain, world, params)
     if tree.root.terminal:
         # empty chain: every allocation scores alike, nothing to search
         return MCTSResult(scores={}, root=tree.root, iterations=0)
@@ -366,9 +362,8 @@ def _claims(counter, order: list[int]):
 
 
 def _helper(conn, counter, pool: TreePool, inherited) -> None:
-    """A helper's loop: take a decision's (region state, sample index)
-    list, claim and run trees, send back (index, scores) pairs or the
-    exception a tree raised."""
+    """A helper's loop: take a decision's task list, claim and run trees,
+    send back (index, scores) pairs or the exception a tree raised."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     for other in inherited:  # so a dead caller reads as EOF here
         other.close()
@@ -377,11 +372,8 @@ def _helper(conn, counter, pool: TreePool, inherited) -> None:
             tasks, order, params, seed = pickle.loads(conn.recv_bytes())
         except EOFError:
             return
-        # root choices are worked out here, once per region: cheaper than
-        # pickling them (up to params.iterations depot tuples)
-        choices = {}
         try:
-            reply = ("ok", [(k, pool._search(*tasks[k], seed, params, choices))
+            reply = ("ok", [(k, pool._search(*tasks[k], seed, params))
                             for k in _claims(counter, order)])
         except Exception as exc:  # noqa: BLE001 - re-raised by the caller
             tb = traceback.format_exc()
@@ -410,9 +402,9 @@ class TreePool:
     """Runs a decision's search trees on the caller and forked helpers.
 
     Root parallelisation: every tree is independent. A task is (region
-    state, sample index), and the process that claims it does all of its
-    work (see _search): it samples that chain and scores it, deciding a
-    region with a single feasible action without a tree. The caller and
+    state, sample index, lone), and the process that claims it does all of
+    its work (see _search): it samples that chain and scores it, without a
+    tree when lone, the region's only assignment, is set. The caller and
     each helper take task indices from one shared counter until it passes
     the end, and results are placed by index, so what a decision returns
     does not depend on which process ran a task. A pool serves one world
@@ -427,6 +419,7 @@ class TreePool:
         self.model = model
         self.restricted = {r: model.restrict(world.partition.cells_of(r))
                            for r in world.partition.regions()}
+        self.rate_sums = {r: float(m.rates.sum()) for r, m in self.restricted.items()}
         self._workers: list = []  # (process, connection)
         if helpers < 1 or threading.active_count() > 1:
             return  # forking a process that has threads is unsafe
@@ -446,50 +439,41 @@ class TreePool:
             self.close()
             raise
 
-    def _search(self, rs: RegionState, i: int, seed, params: MCTSParams,
-                choices: dict) -> dict:
+    def _search(self, rs: RegionState, i: int, lone, seed, params: MCTSParams) -> dict:
         """The scores of the tree on rs's chain i, as mcts_search gives them,
         the chain sampled here from the region's restricted model; {} when
         no incident of the chain falls in [clock, clock + horizon), as every
-        action would score alike. choices holds root choices by region,
-        worked out on first use and shared by the region's trees. A root
-        with one depot tuple (the pass () included) scores {that
-        assignment: 0.0} without a tree: the region has no other action,
-        so that 0.0 is never compared with another score.
+        action would score alike. A region whose only assignment is lone
+        (the pass () included) scores {lone: 0.0} without a tree: it has no
+        other action, so that 0.0 is never compared with another score.
         """
         t0 = rs.state.clock_ms
         key = np.random.SeedSequence(entropy=seed, spawn_key=(rs.region, i))
-        chain = sample_chain(self.restricted[rs.region], params.horizon_ms, key,
-                             start_ms=t0)
+        chain = sample_chain(self.restricted[rs.region], params.horizon_ms, key, start_ms=t0)
         if not _in_window(chain, t0, params.horizon_ms):
             return {}
-        if rs.region not in choices:
-            choices[rs.region] = _joint_choices(rs, max(2, params.iterations))
-        root = choices[rs.region]
-        if len(root[1]) == 1:
-            return {tuple(zip(root[0], root[1][0])): 0.0}
-        return mcts_search(rs, chain, self.world, params, root_choices=root).scores
+        if lone is not None:
+            return {lone: 0.0}
+        return mcts_search(rs, chain, self.world, params).scores
 
     def run(self, tasks, params: MCTSParams, seed) -> list:
-        """Each (region state, sample index) task's scores, in task order;
-        seed is the decision's chain seed (see plan_region_allocations)."""
-        choices = {}  # this process's root choices by region
+        """Each (region state, sample index, lone) task's scores, in task
+        order; seed is the decision's chain seed (see plan_region_allocations)."""
         if not self._workers or len(tasks) < 2:
-            return [self._search(*task, seed, params, choices) for task in tasks]
+            return [self._search(*task, seed, params) for task in tasks]
         try:
             self._next.value = 0  # helpers wait on their pipe: no one claims
             # the costliest trees first (the region's rate x its agents
             # predicts a tree's time), so that no process ends on a long one
-            order = sorted(range(len(tasks)), key=lambda k: -float(
-                self.restricted[tasks[k][0].region].rates.sum())
-                * len(tasks[k][0].state.agents))
+            order = sorted(range(len(tasks)), key=lambda k: -self.rate_sums[
+                tasks[k][0].region] * len(tasks[k][0].state.agents))
             payload = pickle.dumps((tasks, order, params, seed),
                                    pickle.HIGHEST_PROTOCOL)
             for _proc, conn in self._workers:
                 conn.send_bytes(payload)
             results = [None] * len(tasks)
             for k in _claims(self._next, order):
-                results[k] = self._search(*tasks[k], seed, params, choices)
+                results[k] = self._search(*tasks[k], seed, params)
             for proc, conn in self._workers:
                 try:
                     reply = conn.recv()
@@ -541,10 +525,12 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     it. Regions with no idle agents get action None.
 
     Every region with idle agents becomes n_samples (region state, sample
-    index) tasks, and TreePool._search does each task's work: it samples
-    the chain, skips a chain with no incident inside the horizon, and
-    decides a region with a single feasible action without a tree. A
-    region none of whose chains has such an incident gets action None.
+    index, lone) tasks sharing one region state; lone, the region's only
+    assignment (the pass () included) or None, is found here from two
+    listed actions. TreePool._search does each task's work: it samples the
+    chain, skips a chain with no incident inside the horizon, and decides a
+    lone region without a tree. A region none of whose chains has such an
+    incident gets action None.
 
     The trees run through pool when one is given (made for this world and
     model), in this process otherwise; the plan is the same either way.
@@ -566,12 +552,14 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
         plans[region] = RegionPlan(region=region, action=None)
         if not rs.state.idle_agents():
             continue
-        tasks.extend((rs, i) for i in range(n_samples))
-    for (rs, _i), scores in zip(tasks, pool.run(tasks, params, seed)):
+        ids, depot_tuples = _joint_choices(rs, 2)  # two tell if there is a choice
+        lone = tuple(zip(ids, depot_tuples[0])) if len(depot_tuples) == 1 else None
+        tasks.extend((rs, i, lone) for i in range(n_samples))
+    for (rs, _i, _lone), scores in zip(tasks, pool.run(tasks, params, seed)):
         plan_scores = plans[rs.region].scores
         for assignment, score in scores.items():
             plan_scores.setdefault(assignment, []).append(score)
-    for rs in {rs.region: rs for rs, _i in tasks}.values():
+    for rs in {rs.region: rs for rs, _i, _lone in tasks}.values():
         plan = plans[rs.region]
         if not plan.scores:
             continue

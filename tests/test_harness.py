@@ -57,6 +57,54 @@ class TestConfig:
                            r"'\]', but got ':'\)$"):
             load_config(p)
 
+    def test_repeated_key_named(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_text("grid_width: 4\ngrid_height: 4\ndepot_file: d.csv\n"
+                     "num_agents: 3\nseeds: [1]\nnum_regions: 1\nnum_agents: 8\n")
+        with pytest.raises(ConfigError, match=rf"^config file {re.escape(str(p))} "
+                           r"line 7 column 1: not valid YAML \(repeated key "
+                           r"'num_agents'\)$"):
+            load_config(p)
+
+    @pytest.mark.parametrize("entry, key, line, column", [
+        ("hotspots:\n  - {gx: 1, gy: 1, rate_per_hour: 1.0, gx: 2}\n", "gx", 5, 40),
+        ("spikes:\n  - {start_hour: 1.0, duration_hours: 1.0, multiplier: 2.0,\n"
+         "     region: 0, start_hour: 2.0}\n", "start_hour", 6, 17),
+        ("failures:\n  - agent_id: 0\n    start_hour: 1.0\n    duration_hours: 1.0\n"
+         "    agent_id: 1\n", "agent_id", 8, 5)], ids=["hotspots", "spikes", "failures"])
+    def test_repeated_key_in_an_entry_named(self, tmp_path, entry, key, line, column):
+        p = tmp_path / "bad.yaml"
+        p.write_text("grid_width: 4\ngrid_height: 4\ndepot_file: d.csv\n" + entry)
+        with pytest.raises(ConfigError, match=rf"line {line} column {column}: not valid "
+                           rf"YAML \(repeated key '{key}'\)$"):
+            load_config(p)
+
+    def test_merge_key_is_no_repeat(self, tmp_path):
+        # a merge key's entries may be overridden; only a node's own keys count
+        p = tmp_path / "ok.yaml"
+        p.write_text("grid_width: 4\ngrid_height: 4\ndepot_file: d.csv\n"
+                     "hotspots:\n  - &h {gx: 1, gy: 1, rate_per_hour: 1.0}\n"
+                     "  - {<<: *h, gx: 2}\n")
+        assert load_config(p).hotspots == [{"gx": 1, "gy": 1, "rate_per_hour": 1.0},
+                                           {"gx": 2, "gy": 1, "rate_per_hour": 1.0}]
+
+    def test_unhashable_key_left_to_yaml(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_text("grid_width: 4\n? [1, 2]\n: 3\n")
+        with pytest.raises(ConfigError, match=r"line 2 column 3: not valid YAML "
+                           r"\(found unhashable key\)$"):
+            load_config(p)
+
+    def test_overlong_integer_named(self, tmp_path):
+        # int() takes at most 4,300 digits; the error names the file and
+        # where the number starts
+        p = tmp_path / "bad.yaml"
+        p.write_text("grid_width: 1" + "0" * 5000 + "\n")
+        with pytest.raises(ConfigError, match=rf"^config file {re.escape(str(p))} "
+                           r"line 1 column 13: not valid YAML \(Exceeds the limit "
+                           r"\(4300 digits\)"):
+            load_config(p)
+
     def test_missing_required_named(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("grid_width: 4\n")
@@ -786,6 +834,16 @@ class TestCLI:
         assert captured.err == (f"hierdispatch: error: config file {cfg} line 2 "
                                 "column 11: not valid YAML (expected ',' or ']', "
                                 "but got ':')\n")
+
+    def test_run_repeated_key_fails_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "num_agents: 8\n")
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"hierdispatch: error: config file {cfg} line 11 "
+                                "column 1: not valid YAML (repeated key 'num_agents')\n")
 
     def test_run_infinite_failure_fails_in_one_line(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

@@ -1,7 +1,6 @@
 """The planner against its always-search reference.
 
-plan_region_allocations shares one root action set among a region's
-trees, decides single-action regions without a search, scores each
+plan_region_allocations decides single-action regions without a search, scores each
 terminal leaf once, lists only the first max(2, iterations) joint
 actions of a node, and keeps no state on a root child that no iteration
 can select. oracles.py keeps the loop that searches every region, the
@@ -24,7 +23,8 @@ from hierdispatch import (Agent, AgentStatus, DemandModel, Depot, Incident,
                           SystemState, TravelModel, World, make_grid,
                           partition_regions, plan_region_allocations)
 from hierdispatch import lowlevel
-from hierdispatch.lowlevel import _joint_choices, _Tree, decompose, mcts_search
+from hierdispatch.lowlevel import (_joint_choices, _Tree, TreePool, decompose,
+                                   mcts_search)
 
 from conftest import build_world, fresh_state
 
@@ -143,16 +143,12 @@ def test_plans_and_scores_equal_reference(case):
         {r: p.action for r, p in expected.items()}
     for rs, chain in region_chains(state, world, model, params, seed):
         want = reference(mcts_search, rs, chain, world, params).scores
-        assert mcts_search(rs, chain, world, params).scores == want
-        # the planner's path: one root action set shared by the region's trees
-        choices = _joint_choices(rs, max(2, params.iterations))
+        got = mcts_search(rs, chain, world, params)
+        assert got.scores == want
         # a root listing an action for each iteration never selects a child,
         # and every child keeps no state; a narrower root's children keep it
-        wide = len(choices[1]) >= params.iterations
-        for _tree in range(2):
-            got = mcts_search(rs, chain, world, params, root_choices=choices)
-            assert got.scores == want
-            assert {child.state is None for child in got.root.children.values()} <= {wide}
+        wide = len(_joint_choices(rs, max(2, params.iterations))[1]) >= params.iterations
+        assert {child.state is None for child in got.root.children.values()} <= {wide}
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,6 +167,74 @@ def test_capped_scores_equal_full_list_scores(case):
                 mp.setattr(lowlevel, "_joint_choices", oracles.joint_choices)
                 full = mcts_search(rs, chain, world, params)
             assert capped.scores == full.scores
+
+
+def snapshot(state):
+    """What a search must leave as it found it: the clock, the pending
+    incident ids, and every field of every agent."""
+    return (state.clock_ms, [i.id for i in state.pending],
+            [[getattr(a, f.name) for f in dataclasses.fields(a)] for a in state.agents])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tiny_plans())
+def test_search_leaves_the_region_state_as_it_found_it(case):
+    # a tree's root holds the region state itself, not a copy, and a
+    # decision's trees on one region share it
+    state, world, model, params, n_samples, seed = case
+    for rs, chain in region_chains(state, world, model, params, seed):
+        before = snapshot(rs.state)
+        mcts_search(rs, chain, world, params)
+        assert snapshot(rs.state) == before
+    run, ran = TreePool.run, []
+
+    def checked(self, tasks, *args):
+        before = [snapshot(rs.state) for rs, _i, _lone in tasks]
+        scores = run(self, tasks, *args)
+        assert [snapshot(rs.state) for rs, _i, _lone in tasks] == before
+        ran.append(len(tasks))
+        return scores
+    whole = snapshot(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TreePool, "run", checked)
+        plan_region_allocations(state, world, model, params, n_samples, seed,
+                                pool=TreePool(world, model, 0))
+    assert ran and snapshot(state) == whole
+
+
+@st.composite
+def small_regions(draw):
+    """One region: up to three depots of capacity 1-3, ids in any order,
+    and an agent in some of their slots, each idle, busy or failed."""
+    caps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ids = draw(st.permutations(range(len(caps))))
+    depots = [Depot(id=d, cell=d, capacity=c) for d, c in zip(ids, caps)]
+    slots = [d.id for d in depots for _ in range(d.capacity)]
+    homes = draw(st.permutations(slots))[:draw(st.integers(1, len(slots)))]
+    agents = []
+    for i, home in enumerate(homes):
+        agent = Agent(id=i, position=(0.0, 0.0), destination=(0.0, 0.0),
+                      status=AgentStatus.WAITING, region=0, depot=home)
+        kind = draw(st.sampled_from(["idle", "idle", "busy", "failed"]))
+        if kind == "busy":
+            agent.status = AgentStatus.SERVICING
+            agent.incident = incident(100 + i, home, 0)
+            agent.busy_until = HOUR_MS
+        elif kind == "failed":
+            agent.failure_window = (0, HOUR_MS)
+        agents.append(agent)
+    return lowlevel.RegionState(0, SystemState(0, [], agents), depots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rs=small_regions())
+def test_two_listed_actions_decide_a_lone_region(rs):
+    # the planner lists two joint actions to find a region with no choice
+    ids, depot_tuples = _joint_choices(rs, 2)
+    every = oracles.enumerate_actions(rs)
+    assert (len(depot_tuples) == 1) == (len(every) == 1)
+    if len(every) == 1:
+        assert tuple(zip(ids, depot_tuples[0])) == every[0]
 
 
 def single_action_region():

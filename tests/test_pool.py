@@ -119,7 +119,7 @@ def test_lone_action_region_decided_by_pool_tasks(monkeypatch):
     run = TreePool.run
 
     def spied(self, tasks, *args):
-        received.append([(rs.region, i) for rs, i in tasks])
+        received.append([(rs.region, i, lone) for rs, i, lone in tasks])
         return run(self, tasks, *args)
     monkeypatch.setattr(TreePool, "run", spied)
     plans = []
@@ -128,8 +128,8 @@ def test_lone_action_region_decided_by_pool_tasks(monkeypatch):
             plans.append(plan_region_allocations(state, world, model,
                                                  MCTSParams(iterations=8), 4, 0,
                                                  pool=pool)[0])
-    assert received == [[(0, i) for i in range(4)]] * 2
     stay = ((0, 0),)
+    assert received == [[(0, i, stay) for i in range(4)]] * 2
     assert plans[0].action == plans[1].action == stay
     assert plans[0].scores == plans[1].scores
     assert set(plans[0].scores) == {stay}
@@ -147,7 +147,8 @@ def test_reply_pickles_only_builtins(depots, homes):
     state = fresh_state(world, homes)
     rs = lowlevel.decompose(state, 0, world)
     params = MCTSParams(iterations=8)
-    scores = TreePool(world, model, 0)._search(rs, 0, 0, params, {})
+    [lone] = joint_actions(rs, 2) if len(depots) == 1 else [None]
+    scores = TreePool(world, model, 0)._search(rs, 0, lone, 0, params)
     assert scores
     assert set(scores) <= set(joint_actions(rs))
     assert b"hierdispatch" not in pickle.dumps(scores)
