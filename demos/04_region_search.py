@@ -6,9 +6,9 @@ Run from the repository root:  python3 demos/04_region_search.py
 
 import numpy as np
 
-from hierdispatch import (MCTSParams, build_scenario, decompose, initial_state,
-                          load_config, mcts_search, plan_region_allocations,
-                          sample_chain)
+from hierdispatch import (MCTSParams, TreePool, build_scenario, decompose,
+                          initial_state, load_config, mcts_search,
+                          plan_region_allocations, sample_chain)
 
 scenario = build_scenario(load_config("configs/synthetic_default.yaml"))
 world = scenario.world
@@ -55,8 +55,10 @@ means = sorted((float(np.mean(v)), a) for a, v in maps.items())
 for mean, action in means[:5]:
     print(f"  {fmt(action):22s} {mean:8.1f}")
 
-plans = plan_region_allocations(state, world, scenario.model, params,
-                                n_samples=4, seed=42, regions=[region])
+# the planner runs its trees through a pool; 0 helpers: all in this process
+pool = TreePool(world, scenario.model, 0)
+plans = plan_region_allocations(state, pool, params, n_samples=4, seed=42,
+                                regions=[region])
 action = plans[region].action
 print(f"\nplanner recommendation for region {region}: "
       f"{'keep' if action is None else fmt(action)}")

@@ -15,7 +15,7 @@ from .harness import (ChainMismatch, MetricsReport, ScenarioConfig,
                       build_scenario, compare, initial_state, load_config,
                       run_experiment)
 from .highlevel import Allocation, allocate
-from .lowlevel import (MCTSParams, MCTSResult, RegionState, decompose,
+from .lowlevel import (MCTSParams, MCTSResult, RegionState, TreePool, decompose,
                        joint_action_count, mcts_search, plan_region_allocations)
 from .queueing import QueueParams, Unstable, mean_wait, p0, wait_probability
 from .simulator import (Agent, AgentBusy, AgentStatus, DepotFull, SystemState,

@@ -124,21 +124,15 @@ def apply_region_rebalance(state: SystemState, old_x: dict, new_x: dict,
     take = {r: new_x[r] - old_x[r] for r in new_x if new_x[r] > old_x[r]}
     transfers: list[Transfer] = []
     while take:
-        candidates = []
-        for r_from, surplus in sorted(give.items()):
-            if surplus <= 0:
-                continue
-            for agent in [a for a in state.idle_agents() if a.region == r_from]:
-                for r_to in sorted(take):
-                    for depot in world.depots_in(r_to):
-                        if depot_occupancy(state, depot.id) >= depot.capacity:
-                            continue
-                        t = world.travel.travel_time(agent.position,
-                                                     world.depot_pos(depot.id))
-                        candidates.append((t, agent.id, r_to, depot.id, r_from))
-        if not candidates:
+        movers = [a for a in state.idle_agents() if give.get(a.region, 0) > 0]
+        depots = [(r_to, d.id) for r_to in take for d in world.depots_in(r_to)
+                  if depot_occupancy(state, d.id) < d.capacity]
+        best = min(((world.travel.travel_time(a.position, world.depot_pos(d)),
+                     a.id, r_to, d, a.region) for a in movers for r_to, d in depots),
+                   default=None)
+        if best is None:
             break  # no idle agent can move now; defer the rest
-        t, agent_id, r_to, depot_id, r_from = min(candidates)
+        _t, agent_id, r_to, depot_id, r_from = best
         assign_region(state, agent_id, r_to, world)
         assign_depot(state, agent_id, depot_id, world)
         transfers.append(Transfer(agent_id, r_from, r_to, depot_id, state.clock_ms))
@@ -226,9 +220,8 @@ class Coordinator:
 
     def _run_low_level(self, state: SystemState) -> None:
         plans = plan_region_allocations(
-            state, self.world, self.model, self.planner.mcts,
-            n_samples=self.planner.n_samples,
-            seed=(self.seed, self._decision_index), pool=self._pool)
+            state, self._pool, self.planner.mcts, n_samples=self.planner.n_samples,
+            seed=(self.seed, self._decision_index))
         for region in sorted(plans):
             if plans[region].action:
                 apply_allocation(state, plans[region].action, self.world)

@@ -148,7 +148,8 @@ def sample_chain(model: DemandModel, horizon_ms: int, seed,
     per segment the event count is Poisson(rate * duration) and the event
     times are uniform. Identical (model, horizon, seed) inputs reproduce
     the chain exactly. Coincident timestamps are pushed apart by 1 ms,
-    preserving generation order.
+    preserving generation order; the chain ends before the first incident
+    that a push moves to the window's end or later.
 
     A cell outside every spike window is one segment: its mean comes from
     one array expression (the same IEEE operations as per cell), and a
@@ -184,9 +185,9 @@ def sample_chain(model: DemandModel, horizon_ms: int, seed,
     incidents = []
     prev = -1
     for i, (t, cell) in enumerate(raw):
-        if t <= prev:
-            t = prev + 1
-        prev = t
+        prev = t = max(t, prev + 1)
+        if t >= end_ms:
+            break  # pushed out of the window, as is every later one
         incidents.append(Incident(id=i, cell=cell, report_time_ms=t,
                                   service_duration_ms=model.service.sample(rng)))
     return IncidentChain(incidents=incidents, horizon_ms=horizon_ms)

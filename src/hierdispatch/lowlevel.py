@@ -5,7 +5,8 @@ dispatch itself is mandated (nearest free agent). One search tree is
 built per sampled incident chain; since the chain fixes every arrival,
 each tree searches a deterministic environment, and uncertainty is
 handled by root parallelization: per-action scores are averaged across
-trees and the cheapest action wins.
+trees and the cheapest action wins. A decision's trees run through a
+TreePool, which holds the world and the demand model.
 
 Tree layout: nodes are decision epochs, which occur at incident events.
 An edge applies a joint allocation action, then replays the simulator to
@@ -13,17 +14,17 @@ the next incident (greedy dispatch included) and charges the discounted
 response times along the way. Leaf evaluation rolls out the rest of the
 chain under the default policy: greedy dispatch, no redistribution.
 
-A node's actions are the joint depot assignments of its idle agents,
-expanded in lexicographic order of their depot tuples. A tree adds at
-most one child per iteration, so every node, the root too, lists only
-the first max(2, iterations) of them when first reached: a region of
-any size costs no more than that, and the search is what it would be
-over the full list. The root's state is the region state's own and is
-only read: an expansion clones the state it acts on, and the root is
-never a leaf. A root child expanded while the root has an untried
-action for each iteration left is never selected, as each later one
-expands another first: its playout runs on its own state, and it keeps
-state None.
+A node's actions are the joint depot assignments of its idle agents to
+the free slots of the region's slot table, made once per tree, expanded
+in lexicographic order of their depot tuples. A tree adds at most one
+child per iteration, so every node, the root too, lists only the first
+max(2, iterations) of them when first reached: a region of any size
+costs no more than that, and the search is what it would be over the
+full list. The root's state is the region state's own and is only read:
+an expansion clones the state it acts on, and the root is never a leaf.
+A root child expanded while the root has an untried action for each
+iteration left is never selected, as each later one expands another
+first: its playout runs on its own state, and it keeps state None.
 
 Scores are discounted response-time costs (seconds), so lower is better;
 node utilities are stored negated so UCB keeps its usual argmax form.
@@ -63,11 +64,16 @@ def _travel(assignment, positions: dict, world: World) -> float:
 
 @dataclass
 class RegionState:
-    """One region's part of the system; a search only reads its state."""
+    """One region's part of the system; a search only reads its state.
+    Its trees list actions against slots: {depot id: capacity}, ids increasing."""
 
     region: int
     state: SystemState
     depots: list[Depot]
+
+    @property
+    def slots(self) -> dict[int, int]:
+        return {d.id: d.capacity for d in sorted(self.depots, key=lambda d: d.id)}
 
 
 def decompose(state: SystemState, region: int, world: World) -> RegionState:
@@ -103,21 +109,23 @@ def _depot_tuples(slots: dict[int, int], k: int):
     return branches()
 
 
-def _joint_choices(rs: RegionState, cap: int):
-    """The region's first cap joint allocations as (agent ids, depot
-    tuples): action i is the assignment tuple(zip(ids, depot_tuples[i])) of
-    (agent id, depot id) pairs, agent-sorted. The depot tuples are the
-    distinct ones in lexicographic order of depot ids, made lazily, so a
-    region of any size costs at most cap of them. ((), [()]), the pass ()
-    alone, when there is nothing to decide."""
-    idle = sorted(a.id for a in rs.state.idle_agents())
-    slots = {d.id: d.capacity for d in sorted(rs.depots, key=lambda d: d.id)}
-    for a in rs.state.agents:  # busy and failed agents keep their slot
-        if a.depot in slots and a.id not in idle:
-            slots[a.depot] = max(0, slots[a.depot] - 1)
-    if not idle or sum(slots.values()) < len(idle):
+def _joint_choices(state: SystemState, slots: dict[int, int], cap: int):
+    """The first cap joint allocations of state's idle agents as (agent ids,
+    depot tuples): action i is tuple(zip(ids, depot_tuples[i])), agent-sorted.
+    One pass over the agents finds the idle ones and takes the others' slots
+    out of a copy of slots (a RegionState.slots). The depot tuples are the
+    distinct ones in lexicographic order of depot ids, made lazily, so any
+    region costs at most cap of them; ((), [()]), the pass alone, when there
+    is nothing to decide."""
+    free, idle = dict(slots), []
+    for a in state.agents:  # busy and failed agents keep their slot
+        if a.is_dispatchable(state.clock_ms):
+            idle.append(a.id)
+        elif a.depot in free:
+            free[a.depot] = max(0, free[a.depot] - 1)
+    if not idle or sum(free.values()) < len(idle):
         return (), [()]  # nothing to reshuffle; leave assignments alone
-    return tuple(idle), list(itertools.islice(_depot_tuples(slots, len(idle)), cap))
+    return tuple(sorted(idle)), list(itertools.islice(_depot_tuples(free, len(idle)), cap))
 
 
 def apply_allocation(state: SystemState, assignment, world: World) -> None:
@@ -233,12 +241,6 @@ class MCTSResult:
     decomposed = False  # a class constant, not a field
 
 
-def _in_window(chain: IncidentChain, t0_ms: int, horizon_ms: int) -> list[Incident]:
-    """The chain's incidents reported in [t0, t0 + horizon)."""
-    end_ms = t0_ms + horizon_ms
-    return [i for i in chain.incidents if t0_ms <= i.report_time_ms < end_ms]
-
-
 class _Tree:
     def __init__(self, rs: RegionState, chain: IncidentChain, world: World,
                  params: MCTSParams):
@@ -246,9 +248,9 @@ class _Tree:
         self.params = params
         self.t0 = rs.state.clock_ms
         self.end_ms = self.t0 + params.horizon_ms
-        self.region = rs.region
-        self.depots = rs.depots
-        self.incidents = _in_window(chain, self.t0, params.horizon_ms)
+        self.slots = rs.slots
+        self.incidents = [i for i in chain.incidents
+                          if self.t0 <= i.report_time_ms < self.end_ms]
         self.root = SearchNode(rs.state, 0, 0.0, terminal=not self.incidents)
         self.cost_lo = math.inf
         self.cost_hi = -math.inf
@@ -305,9 +307,8 @@ class _Tree:
             while not node.terminal:
                 if node.untried is None:  # a node's actions, once it is reached
                     assert node.state is not None, "reached a root child that kept no state"
-                    view = RegionState(self.region, node.state, self.depots)
                     node.idle_ids, node.untried = _joint_choices(
-                        view, max(2, self.params.iterations))
+                        node.state, self.slots, max(2, self.params.iterations))
                 if node.untried:
                     # the root has an untried action for each later iteration
                     last = node is self.root and len(node.untried) >= left
@@ -416,7 +417,6 @@ class TreePool:
 
     def __init__(self, world: World, model: DemandModel, helpers: int):
         self.world = world
-        self.model = model
         self.restricted = {r: model.restrict(world.partition.cells_of(r))
                            for r in world.partition.regions()}
         self.rate_sums = {r: float(m.rates.sum()) for r, m in self.restricted.items()}
@@ -441,16 +441,16 @@ class TreePool:
 
     def _search(self, rs: RegionState, i: int, lone, seed, params: MCTSParams) -> dict:
         """The scores of the tree on rs's chain i, as mcts_search gives them,
-        the chain sampled here from the region's restricted model; {} when
-        no incident of the chain falls in [clock, clock + horizon), as every
-        action would score alike. A region whose only assignment is lone
-        (the pass () included) scores {lone: 0.0} without a tree: it has no
-        other action, so that 0.0 is never compared with another score.
+        the chain sampled here from the region's restricted model over
+        [clock, clock + horizon); {} when it is empty, as every action would
+        score alike. A region whose only assignment is lone (the pass ()
+        included) scores {lone: 0.0} without a tree: it has no other
+        action, so that 0.0 is never compared with another score.
         """
-        t0 = rs.state.clock_ms
         key = np.random.SeedSequence(entropy=seed, spawn_key=(rs.region, i))
-        chain = sample_chain(self.restricted[rs.region], params.horizon_ms, key, start_ms=t0)
-        if not _in_window(chain, t0, params.horizon_ms):
+        chain = sample_chain(self.restricted[rs.region], params.horizon_ms, key,
+                             start_ms=rs.state.clock_ms)
+        if not chain.incidents:
             return {}
         if lone is not None:
             return {lone: 0.0}
@@ -507,13 +507,12 @@ class RegionPlan:
     scores: dict[tuple, list[float]] = field(default_factory=dict)  # one per tree
 
 
-def plan_region_allocations(state: SystemState, world: World, model: DemandModel,
-                            params: MCTSParams, n_samples: int, seed,
-                            regions=None, pool: TreePool | None = None
-                            ) -> dict[int, RegionPlan]:
+def plan_region_allocations(state: SystemState, pool: TreePool, params: MCTSParams,
+                            n_samples: int, seed, regions=None) -> dict[int, RegionPlan]:
     """Root-parallel planning for every region: sample n chains per region,
     run one search tree per chain, average the per-action scores, and pick
-    the cheapest action.
+    the cheapest action. The trees run through pool, and the world and the
+    demand model are the pool's; the plan does not depend on its helpers.
 
     Chains are region-restricted: demand comes only from the region's own
     cells. seed is an int or tuple of ints (SeedSequence entropy); the
@@ -527,22 +526,14 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
     Every region with idle agents becomes n_samples (region state, sample
     index, lone) tasks sharing one region state; lone, the region's only
     assignment (the pass () included) or None, is found here from two
-    listed actions. TreePool._search does each task's work: it samples the
-    chain, skips a chain with no incident inside the horizon, and decides a
-    lone region without a tree. A region none of whose chains has such an
-    incident gets action None.
-
-    The trees run through pool when one is given (made for this world and
-    model), in this process otherwise; the plan is the same either way.
+    actions listed against the region's slot table. TreePool._search does
+    each task's work: it samples the chain, skips an empty one, and decides
+    a lone region without a tree. A region all of whose chains are empty
+    gets action None.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if pool is None:
-        pool = TreePool(world, model, 0)
-    elif pool.world is not world:
-        raise ValueError("the pool was made for another world")
-    elif pool.model is not model:
-        raise ValueError("the pool was made for another model")
+    world = pool.world
     if regions is None:
         regions = world.partition.regions()
     plans: dict[int, RegionPlan] = {}
@@ -552,7 +543,7 @@ def plan_region_allocations(state: SystemState, world: World, model: DemandModel
         plans[region] = RegionPlan(region=region, action=None)
         if not rs.state.idle_agents():
             continue
-        ids, depot_tuples = _joint_choices(rs, 2)  # two tell if there is a choice
+        ids, depot_tuples = _joint_choices(rs.state, rs.slots, 2)  # two tell if there is a choice
         lone = tuple(zip(ids, depot_tuples[0])) if len(depot_tuples) == 1 else None
         tasks.extend((rs, i, lone) for i in range(n_samples))
     for (rs, _i, _lone), scores in zip(tasks, pool.run(tasks, params, seed)):

@@ -215,7 +215,3 @@ class World:
     def depots_in(self, region: int) -> list[Depot]:
         assert self.partition is not None
         return [self._depot_by_id[i] for i in self.partition.region_depots[region]]
-
-    def region_of_cell(self, cell_id: int) -> int:
-        assert self.partition is not None
-        return self.partition.cell_to_region[cell_id]

@@ -48,15 +48,15 @@ def build_world(width=10, height=1, depot_xy=((0, 0), (9, 0)), k=1,
 def waiting_agent(world, agent_id, depot_id, region=None):
     pos = world.depot_pos(depot_id)
     if region is None:
-        region = world.region_of_cell(world.depot(depot_id).cell)
+        region = world.partition.cell_to_region[world.depot(depot_id).cell]
     return Agent(id=agent_id, position=pos, destination=pos,
                  status=AgentStatus.WAITING, region=region, depot=depot_id)
 
 
-def joint_actions(rs, cap=10_000):
-    """The assignment tuples _joint_choices(rs, cap) describes, in its
-    order."""
-    ids, depot_tuples = _joint_choices(rs, cap)
+def joint_actions(state, slots, cap=10_000):
+    """The assignment tuples _joint_choices(state, slots, cap) describes,
+    in its order."""
+    ids, depot_tuples = _joint_choices(state, slots, cap)
     return [tuple(zip(ids, depots)) for depots in depot_tuples]
 
 

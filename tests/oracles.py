@@ -13,12 +13,14 @@ import math
 
 import numpy as np
 
+from hierdispatch.coordinator import Transfer
 from hierdispatch.demand import Incident, IncidentChain, _segments
 from hierdispatch.lowlevel import (RegionPlan, RegionState, SearchNode, _travel,
                                    decompose, mcts_search, sample_chain)
 from hierdispatch.queueing import QueueParams, _check_stable
 from hierdispatch.simulator import (AgentBusy, AgentStatus, DepotFull,
-                                    UnknownIncident)
+                                    UnknownIncident, assign_region)
+from hierdispatch.spatial import Depot
 from hierdispatch.units import MS_PER_HOUR, ceil_ms
 
 
@@ -302,10 +304,12 @@ def enumerate_actions(rs: RegionState):
     return actions
 
 
-def joint_choices(rs: RegionState, _cap: int):
+def joint_choices(state: SystemState, slots: dict[int, int], _cap: int):
     """lowlevel._joint_choices without its cap: every action of
-    enumerate_actions, as (agent ids, depot tuples)."""
-    actions = enumerate_actions(rs)
+    enumerate_actions for the slot table's depots, as (agent ids, depot
+    tuples)."""
+    depots = [Depot(id=d, cell=0, capacity=c) for d, c in slots.items()]
+    actions = enumerate_actions(RegionState(0, state, depots))
     ids = tuple(agent_id for agent_id, _depot in actions[0])
     return ids, [tuple(depot for _agent, depot in action) for action in actions]
 
@@ -459,9 +463,8 @@ def tree_run(self, iterations: int) -> None:
         path = [node]
         while not node.terminal:
             if node.untried is None:  # a node's actions, once it is reached
-                view = RegionState(self.region, node.state, self.depots)
                 node.idle_ids, node.untried = joint_choices(
-                    view, max(2, self.params.iterations))
+                    node.state, self.slots, max(2, self.params.iterations))
             if node.untried:
                 node = self._expand(node)
                 path.append(node)
@@ -517,3 +520,49 @@ def sample_chain_by_segments(model: DemandModel, horizon_ms: int, seed,
         incidents.append(Incident(id=i, cell=cell, report_time_ms=t,
                                   service_duration_ms=model.service.sample(rng)))
     return IncidentChain(incidents=incidents, horizon_ms=horizon_ms)
+
+
+# -- reference rebalance --------------------------------------------------
+# coordinator.apply_region_rebalance before it built its movers and open
+# depots once per transfer, kept verbatim: every (agent, depot) pair
+# recounts the depot's occupancy. It moves agents with the reference
+# depot_occupancy and assign_depot above. test_coordinator.py checks the
+# package's transfers and states against it with ==.
+
+def apply_region_rebalance(state: SystemState, old_x: dict, new_x: dict,
+                           world: World) -> list[Transfer]:
+    """Move idle agents from over- to under-allocated regions.
+
+    Each transfer picks the (agent, destination) pair minimizing travel to
+    the destination region's nearest open depot. Regions lacking idle
+    agents simply contribute fewer transfers; the shortfall is deferred.
+    """
+    if sum(old_x.values()) != sum(new_x.values()):
+        raise ValueError("rebalance must conserve the number of agents")
+    give = {r: old_x[r] - new_x[r] for r in old_x if old_x[r] > new_x[r]}
+    take = {r: new_x[r] - old_x[r] for r in new_x if new_x[r] > old_x[r]}
+    transfers: list[Transfer] = []
+    while take:
+        candidates = []
+        for r_from, surplus in sorted(give.items()):
+            if surplus <= 0:
+                continue
+            for agent in [a for a in state.idle_agents() if a.region == r_from]:
+                for r_to in sorted(take):
+                    for depot in world.depots_in(r_to):
+                        if depot_occupancy(state, depot.id) >= depot.capacity:
+                            continue
+                        t = world.travel.travel_time(agent.position,
+                                                     world.depot_pos(depot.id))
+                        candidates.append((t, agent.id, r_to, depot.id, r_from))
+        if not candidates:
+            break  # no idle agent can move now; defer the rest
+        t, agent_id, r_to, depot_id, r_from = min(candidates)
+        assign_region(state, agent_id, r_to, world)
+        assign_depot(state, agent_id, depot_id, world)
+        transfers.append(Transfer(agent_id, r_from, r_to, depot_id, state.clock_ms))
+        give[r_from] -= 1
+        take[r_to] -= 1
+        if take[r_to] == 0:
+            del take[r_to]
+    return transfers

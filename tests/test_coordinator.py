@@ -2,12 +2,16 @@ import gc
 import io
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hierdispatch import (Coordinator, DemandModel, FailureEvent, Incident,
-                          IncidentChain, MCTSParams, PlannerConfig, PolicyMode,
-                          ServiceLaw, SystemState, allocate,
-                          apply_region_rebalance)
+from hierdispatch import (Agent, Coordinator, DemandModel, Depot, FailureEvent,
+                          Incident, IncidentChain, MCTSParams, PlannerConfig,
+                          PolicyMode, ServiceLaw, SystemState, TravelModel, World,
+                          allocate, apply_region_rebalance, make_grid,
+                          partition_regions)
 from hierdispatch import coordinator, lowlevel
 from hierdispatch.coordinator import EventKind
 from hierdispatch.simulator import AgentStatus, dispatch
@@ -192,8 +196,8 @@ class TestRebalance:
     def test_transfer_minimizes_travel(self):
         world = two_region_world()
         state = fresh_state(world, [0, 2, 3])  # one left, two right
-        left = world.region_of_cell(0)
-        right = world.region_of_cell(9)
+        left = world.partition.cell_to_region[0]
+        right = world.partition.cell_to_region[9]
         old = {left: 1, right: 2}
         new = {left: 2, right: 1}
         moved = apply_region_rebalance(state, old, new, world)
@@ -209,8 +213,8 @@ class TestRebalance:
     def test_busy_agents_defer_transfers(self):
         world = two_region_world()
         state = fresh_state(world, [0, 2, 3])
-        right = world.region_of_cell(9)
-        left = world.region_of_cell(0)
+        right = world.partition.cell_to_region[9]
+        left = world.partition.cell_to_region[0]
         for agent_id in (1, 2):
             inc = incident(agent_id, cell=8, report_ms=0)
             state.pending.append(inc)
@@ -226,6 +230,57 @@ class TestRebalance:
             apply_region_rebalance(state, {0: 1, 1: 1}, {0: 2, 1: 1}, world)
 
 
+@st.composite
+def rebalances(draw):
+    """(state, old counts, new counts, world): 1-3 regions, depots of
+    capacity 1-2, agents idle (at home or on the way), busy or failed,
+    and new counts that move up to every agent."""
+    cells = make_grid(draw(st.integers(2, 6)), draw(st.integers(1, 3)))
+    depot_cells = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2,
+                                max_size=min(6, len(cells)), unique=True))
+    depots = [Depot(id=i, cell=c, capacity=draw(st.integers(1, 2)))
+              for i, c in enumerate(depot_cells)]
+    k = draw(st.integers(1, min(3, len(depots))))
+    world = World(cells=cells, depots=depots, travel=TravelModel(30.0),
+                  partition=partition_regions(cells, np.ones(len(cells)), depots, k, 0))
+    slots = [d.id for d in depots for _ in range(d.capacity)]
+    homes = draw(st.permutations(slots))[:draw(st.integers(1, len(slots)))]
+    clock = 60_000
+    agents = []
+    for i, home in enumerate(homes):
+        pos = world.depot_pos(home)
+        agent = Agent(id=i, position=pos, destination=pos, status=AgentStatus.WAITING,
+                      region=world.partition.cell_to_region[depots[home].cell], depot=home)
+        kind = draw(st.sampled_from(["idle", "idle", "moving", "busy", "failed"]))
+        if kind == "moving":  # on its way home from elsewhere
+            agent.status = AgentStatus.IN_TRANSIT
+            agent.position = world.cell_pos(draw(st.integers(0, len(cells) - 1)))
+        elif kind == "busy":
+            agent.status = AgentStatus.SERVICING
+            agent.incident = incident(100 + i, depots[home].cell, clock)
+            agent.busy_until = 2 * clock
+        elif kind == "failed":
+            agent.failure_window = (0, 2 * clock)
+        agents.append(agent)
+    regions = world.partition.regions()
+    old = {r: sum(a.region == r for a in agents) for r in regions}
+    targets = [draw(st.sampled_from(regions)) for _ in agents]
+    new = {r: targets.count(r) for r in regions}
+    return SystemState(clock, [], agents), old, new, world
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rebalances())
+def test_rebalance_equals_reference(case):
+    # the movers and open depots are listed once per transfer, and the
+    # transfer is the same minimum of (travel, agent, region, depot, region)
+    state, old, new, world = case
+    ref_state = state.clone()
+    moved = apply_region_rebalance(state, old, new, world)
+    assert moved == oracles.apply_region_rebalance(ref_state, old, new, world)
+    assert state.agents == ref_state.agents
+
+
 class TestHierarchicalTriggers:
     def test_failure_pulls_agent_across_regions(self):
         # region 0 needs two agents for its rate; when one fails there,
@@ -234,8 +289,8 @@ class TestHierarchicalTriggers:
         world = build_world(width=10,
                             depot_xy=((0, 0), (1, 0), (3, 0), (7, 0), (9, 0)),
                             k=2)
-        left = world.region_of_cell(0)
-        right = world.region_of_cell(9)
+        left = world.partition.cell_to_region[0]
+        right = world.partition.cell_to_region[9]
         rates = np.zeros(10)
         for c in world.partition.cells_of(left):
             rates[c] = 5.0 / len(world.partition.cells_of(left))

@@ -1,7 +1,7 @@
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierdispatch import (DemandModel, EmptyHistory, ServiceLaw, SpikeWindow,
@@ -109,11 +109,17 @@ def spiked_models(draw):
 @settings(max_examples=200, deadline=None)
 @given(model=spiked_models(), horizon_ms=st.integers(1, 12 * MS_PER_HOUR),
        start_ms=st.integers(0, 6 * MS_PER_HOUR), seed=st.integers(0, 10 ** 6))
+# ~4,000 draws in 3.6 s: pushes move the last ones to the window's end or later
+@example(model=DemandModel(rates=np.full(2, 2e6)), horizon_ms=3600, start_ms=5, seed=1)
 def test_chain_equals_per_segment_reference(model, horizon_ms, start_ms, seed):
-    # cells outside every spike window skip _segments; the draws must not move
+    # cells outside every spike window skip _segments; the draws must not
+    # move. The reference keeps pushed incidents past the window's end; the
+    # chain ends before the first of them
     chain = sample_chain(model, horizon_ms, seed, start_ms=start_ms)
-    assert chain == oracles.sample_chain_by_segments(model, horizon_ms, seed,
-                                                     start_ms=start_ms)
+    ref = oracles.sample_chain_by_segments(model, horizon_ms, seed, start_ms=start_ms)
+    end_ms = start_ms + horizon_ms
+    assert chain.incidents == [i for i in ref.incidents if i.report_time_ms < end_ms]
+    assert chain.horizon_ms == ref.horizon_ms
 
 
 class TestSpikes:

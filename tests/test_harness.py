@@ -618,6 +618,24 @@ class TestScenario:
 
 
 class TestRunExperiment:
+    def test_every_chain_incident_inside_the_horizon(self, tmp_path):
+        # 2,000,000 incidents/h per cell over 3.6 s: ~4,000 draws, and the
+        # 1 ms pushes between coincident ones reach past the horizon; every
+        # incident of the chain is dispatched or still pending at the end
+        depot_file = tmp_path / "depots.csv"
+        depot_file.write_text("depot_id,gx,gy,capacity\n0,0,0,1\n")
+        cfg = ScenarioConfig(grid_width=2, grid_height=1, depot_file=str(depot_file),
+                             num_agents=1, num_regions=1, seeds=[1, 2, 3],
+                             horizon_hours=0.001, base_rate_per_hour=2_000_000.0,
+                             mode="baseline")
+        cfg.validate()
+        report = run_experiment(cfg, tmp_path / "out")
+        horizon_ms = build_scenario(cfg).horizon_ms
+        for seed, row in report.per_seed.items():
+            assert row["n"] + row["pending_at_end"] == row["chain_incidents"], seed
+            chain = chain_for_seed(build_scenario(cfg), seed)
+            assert all(i.report_time_ms < horizon_ms for i in chain.incidents), seed
+
     def test_zero_incidents_empty_report(self, tmp_path):
         # a seed whose sampled chain is empty: tiny rate, tiny horizon
         cfg = tiny_config(tmp_path, seeds=[3], horizon_hours=0.05,

@@ -9,7 +9,7 @@ from hierdispatch import (DemandModel, Incident, IncidentChain, MCTSParams,
                           SystemState, joint_action_count, mcts_search,
                           plan_region_allocations)
 from hierdispatch import lowlevel
-from hierdispatch.lowlevel import (RegionState, SearchNode, _play, _Tree,
+from hierdispatch.lowlevel import (RegionState, SearchNode, TreePool, _play, _Tree,
                                    apply_allocation, decompose)
 from hierdispatch.simulator import AgentStatus
 from hierdispatch.units import MS_PER_HOUR, MS_PER_MINUTE
@@ -79,7 +79,7 @@ class TestEnumerateActions:
     def test_count_matches_permutations(self, line_world):
         # 1 idle agent, 2 unit depots -> P(2,1) = 2 actions
         rs = region_state(line_world, [0])
-        assert len(joint_actions(rs)) == joint_action_count(2, 1) == 2
+        assert len(joint_actions(rs.state, rs.slots)) == joint_action_count(2, 1) == 2
 
     def test_city_scale_counts(self):
         assert joint_action_count(6, 4) == 360
@@ -88,7 +88,7 @@ class TestEnumerateActions:
     def test_three_depots_two_agents(self):
         world = build_world(depot_xy=((0, 0), (4, 0), (9, 0)))
         rs = region_state(world, [0, 1])
-        actions = joint_actions(rs)
+        actions = joint_actions(rs.state, rs.slots)
         assert len(actions) == joint_action_count(3, 2) == 6
         assert ((0, 0), (1, 1)) in actions  # the current assignment
 
@@ -101,17 +101,17 @@ class TestEnumerateActions:
         dispatch(rs.state, 1, inc, line_world)
         # agent 1 responding: only agent 0 is reallocatable, and depot 1
         # stays reserved for agent 1's return
-        assert joint_actions(rs) == [((0, 0),)]
+        assert joint_actions(rs.state, rs.slots) == [((0, 0),)]
 
     def test_no_idle_yields_pass(self, line_world):
         rs = region_state(line_world, [0])
         rs.state.agents[0].failure_window = (0, 10)
-        assert joint_actions(rs) == [()]  # the pass
+        assert joint_actions(rs.state, rs.slots) == [()]  # the pass
 
     def test_capacity_two_allows_sharing(self):
         world = build_world(depot_xy=((0, 0), (9, 0)), capacity=2)
         rs = region_state(world, [0, 1])
-        actions = joint_actions(rs)
+        actions = joint_actions(rs.state, rs.slots)
         # 4 slots, 2 agents, slots are per depot: 2*2 choices minus nothing
         assert ((0, 0), (1, 0)) in actions  # both at depot 0
         assert len(actions) == 4
@@ -124,23 +124,26 @@ class TestEnumerateActions:
         for agent in rs.state.agents[:2]:
             agent.status = AgentStatus.SERVICING
             agent.busy_until = 10 ** 9
-        assert joint_actions(rs) == [((2, 1), (3, 1))]
+        assert joint_actions(rs.state, rs.slots) == [((2, 1), (3, 1))]
 
     def test_city_scale_region_lists_only_cap(self):
         # P(30, 20) ~ 7e25 joint actions come out lazily, cap of them
         world = build_world(width=30, depot_xy=tuple((x, 0) for x in range(30)))
-        actions = joint_actions(region_state(world, list(range(20))), cap=50)
+        rs = region_state(world, list(range(20)))
+        actions = joint_actions(rs.state, rs.slots, cap=50)
         assert len(actions) == 50
         assert actions[0] == tuple((i, i) for i in range(20))
         assert actions[1] == tuple((i, i) for i in range(19)) + ((19, 20),)
         # one 20-slot depot: one tuple, not 20! orders of its slots
         world = build_world(depot_xy=((0, 0),), capacity=20)
-        assert joint_actions(region_state(world, [0] * 20), cap=50) == \
+        rs = region_state(world, [0] * 20)
+        assert joint_actions(rs.state, rs.slots, cap=50) == \
             [tuple((i, 0) for i in range(20))]
         # two 20-slot depots: 2**20 tuples, from "all at depot 0" on
         world = build_world(depot_xy=((0, 0), (9, 0)), capacity=20)
         first = tuple((i, 0) for i in range(20))
-        assert joint_actions(region_state(world, [0] * 20), cap=3) == [
+        rs = region_state(world, [0] * 20)
+        assert joint_actions(rs.state, rs.slots, cap=3) == [
             first, first[:19] + ((19, 1),), first[:18] + ((18, 1), (19, 0))]
 
 
@@ -273,7 +276,7 @@ class TestMCTSSearch:
         rs = region_state(world, [0, 3])
         c = chain(incident(0, 5, 10 * MS_PER_MINUTE),
                   incident(1, 1, 50 * MS_PER_MINUTE))
-        actions = joint_actions(rs)
+        actions = joint_actions(rs.state, rs.slots)
         assert len(actions) == 20
         # 7 iterations list only the first 7, all of which they expand
         res = mcts_search(rs, c, world, MCTSParams(iterations=7))
@@ -332,9 +335,8 @@ def expectimax_value(rs, incidents, world, params):
     t0 = rs.state.clock_ms
 
     def value(state, pos):
-        view = RegionState(rs.region, state, rs.depots)
         best = math.inf
-        for action in joint_actions(view):
+        for action in joint_actions(state, rs.slots):
             s = state.clone()
             apply_allocation(s, action, world)
             cost, new_pos, done = _play(s, incidents, pos, world,
@@ -350,7 +352,7 @@ def expectimax_value(rs, incidents, world, params):
                                     t0, end_ms, True)
         return cost if done else cost + value(s, new_pos)
 
-    return {a: q_root(a) for a in joint_actions(rs)}
+    return {a: q_root(a) for a in joint_actions(rs.state, rs.slots)}
 
 
 class TestExpectimaxAgreement:
@@ -382,7 +384,7 @@ class TestPlanRegionAllocations:
         for seed in range(5):
             state = SystemState(clock_ms=0, pending=[],
                                 agents=[waiting_agent(line_world, 0, 1)])
-            plans = plan_region_allocations(state, line_world, model, params,
+            plans = plan_region_allocations(state, TreePool(line_world, model, 0), params,
                                             n_samples=6, seed=seed)
             assert plans[0].action == ((0, 0),), seed
 
@@ -410,7 +412,7 @@ class TestPlanRegionAllocations:
     def test_zero_rates_keep_current(self, line_world):
         model = DemandModel(rates=np.zeros(10))
         state = fresh_state(line_world, [0])
-        plans = plan_region_allocations(state, line_world, model,
+        plans = plan_region_allocations(state, TreePool(line_world, model, 0),
                                         MCTSParams(iterations=20),
                                         n_samples=3, seed=0)
         assert plans[0].action is None
@@ -420,7 +422,7 @@ class TestPlanRegionAllocations:
         state = fresh_state(line_world, [0])
         state.agents[0].status = AgentStatus.SERVICING
         state.agents[0].busy_until = 10 ** 10
-        plans = plan_region_allocations(state, line_world, model,
+        plans = plan_region_allocations(state, TreePool(line_world, model, 0),
                                         MCTSParams(iterations=20),
                                         n_samples=2, seed=0)
         assert plans[0].action is None
@@ -432,7 +434,7 @@ class TestPlanRegionAllocations:
         params = MCTSParams(iterations=50)
         state = fresh_state(line_world, [1])
         state.agents[0].id = 0
-        plans = plan_region_allocations(state, line_world, model, params,
+        plans = plan_region_allocations(state, TreePool(line_world, model, 0), params,
                                         n_samples=1, seed=3)
         for scores in plans[0].scores.values():
             assert len(scores) == 1
@@ -450,7 +452,7 @@ class TestPlanRegionAllocations:
                                            iterations=1)
             monkeypatch.setattr(lowlevel, "mcts_search", fake_search)
             state = fresh_state(world, [1])
-            return plan_region_allocations(state, world, model,
+            return plan_region_allocations(state, TreePool(world, model, 0),
                                            MCTSParams(iterations=1),
                                            n_samples=2, seed=0)[0].action
 
@@ -471,8 +473,8 @@ class TestPlanRegionAllocations:
                          {stay: 6.0, move: 1.5}])
         monkeypatch.setattr(lowlevel, "mcts_search", lambda *_a, **_k:
                             lowlevel.MCTSResult(next(per_tree), None, 1))
-        [plan] = plan_region_allocations(fresh_state(world, [1]), world,
-                                         DemandModel(rates=np.full(10, 0.5)),
+        pool = TreePool(world, DemandModel(rates=np.full(10, 0.5)), 0)
+        [plan] = plan_region_allocations(fresh_state(world, [1]), pool,
                                          MCTSParams(iterations=1), n_samples=3,
                                          seed=0).values()
         assert plan.scores == {stay: [1.0, 2.0, 6.0], move: [3.5, 3.5, 1.5]}
@@ -488,12 +490,13 @@ class TestPlanRegionAllocations:
 
         def plan_once():
             state = fresh_state(world, [0, 1])
-            return plan_region_allocations(state, world, model, params,
+            return plan_region_allocations(state, TreePool(world, model, 0), params,
                                            n_samples=3, seed=1)
 
         plans = plan_once()
         action = plans[0].action
-        assert action in joint_actions(region_state(world, [0, 1]))[:4]
+        rs = region_state(world, [0, 1])
+        assert action in joint_actions(rs.state, rs.slots)[:4]
         assert sorted(a for a, _d in action) == [0, 1]
         depots = [d for _a, d in action]
         assert len(set(depots)) == 2  # capacity respected
@@ -507,8 +510,8 @@ class TestDecompose:
                             weights=np.concatenate([np.full(5, 2.0),
                                                     np.full(5, 2.0)]))
         state = fresh_state(world, [0, 1])
-        left_region = world.region_of_cell(0)
-        right_region = world.region_of_cell(9)
+        left_region = world.partition.cell_to_region[0]
+        right_region = world.partition.cell_to_region[9]
         state.pending.append(incident(0, cell=0, report_ms=0))
         state.pending.append(incident(1, cell=9, report_ms=1))
         rs = decompose(state, left_region, world)

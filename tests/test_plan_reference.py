@@ -78,7 +78,7 @@ def tiny_plans(draw):
         pos = world.depot_pos(depot_id)
         agent = Agent(id=i, position=pos, destination=pos,
                       status=AgentStatus.WAITING,
-                      region=world.region_of_cell(world.depot(depot_id).cell),
+                      region=world.partition.cell_to_region[world.depot(depot_id).cell],
                       depot=depot_id)
         if kind == "busy":
             agent.status = AgentStatus.SERVICING
@@ -136,7 +136,7 @@ def region_chains(state, world, model, params, seed):
 @given(case=tiny_plans())
 def test_plans_and_scores_equal_reference(case):
     state, world, model, params, n_samples, seed = case
-    plans = plan_region_allocations(state, world, model, params, n_samples, seed)
+    plans = plan_region_allocations(state, TreePool(world, model, 0), params, n_samples, seed)
     expected = reference(oracles.plan_region_allocations, state, world, model,
                          params, n_samples, seed)
     assert {r: p.action for r, p in plans.items()} == \
@@ -147,7 +147,8 @@ def test_plans_and_scores_equal_reference(case):
         assert got.scores == want
         # a root listing an action for each iteration never selects a child,
         # and every child keeps no state; a narrower root's children keep it
-        wide = len(_joint_choices(rs, max(2, params.iterations))[1]) >= params.iterations
+        listed = _joint_choices(rs.state, rs.slots, max(2, params.iterations))[1]
+        wide = len(listed) >= params.iterations
         assert {child.state is None for child in got.root.children.values()} <= {wide}
 
 
@@ -197,8 +198,7 @@ def test_search_leaves_the_region_state_as_it_found_it(case):
     whole = snapshot(state)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TreePool, "run", checked)
-        plan_region_allocations(state, world, model, params, n_samples, seed,
-                                pool=TreePool(world, model, 0))
+        plan_region_allocations(state, TreePool(world, model, 0), params, n_samples, seed)
     assert ran and snapshot(state) == whole
 
 
@@ -230,7 +230,7 @@ def small_regions(draw):
 @given(rs=small_regions())
 def test_two_listed_actions_decide_a_lone_region(rs):
     # the planner lists two joint actions to find a region with no choice
-    ids, depot_tuples = _joint_choices(rs, 2)
+    ids, depot_tuples = _joint_choices(rs.state, rs.slots, 2)
     every = oracles.enumerate_actions(rs)
     assert (len(depot_tuples) == 1) == (len(every) == 1)
     if len(every) == 1:
@@ -260,7 +260,7 @@ class TestSingleActionRegion:
         monkeypatch.setattr(lowlevel, "sample_chain", fake_sample)
         monkeypatch.setattr(lowlevel, "mcts_search", counted_search)
         model = DemandModel(rates=np.full(10, 0.5))
-        action = plan_region_allocations(state, world, model, params,
+        action = plan_region_allocations(state, TreePool(world, model, 0), params,
                                          n_samples=n_samples, seed=0)[0].action
         return action, sorted(sampled), len(searched)
 
@@ -276,18 +276,14 @@ class TestSingleActionRegion:
         assert action == ((0, 0),)
         assert (sampled, searched) == ([0, 1, 2, 3], 0)
 
-    def test_window_end_is_outside(self, monkeypatch):
-        # the 1 ms collision push can land an incident exactly on
-        # clock + horizon; the tree's window leaves it out, and so does
-        # the skip
+    def test_window_end_is_outside(self):
+        # a sampled chain ends before clock + horizon (test_demand.py checks
+        # it); a tree given a chain with an incident there leaves it out
         world, state = single_action_region()
         horizon = MCTSParams().horizon_ms
         edge = IncidentChain([incident(0, 3, HOUR_MS + horizon)], horizon)
         rs = decompose(state, 0, world)
         assert _Tree(rs, edge, world, MCTSParams()).root.terminal
-        action, sampled, searched = self._plan(monkeypatch, [edge] * 4)
-        assert action is None
-        assert (sampled, searched) == ([0, 1, 2, 3], 0)
 
     def test_zero_iterations_still_raise(self, monkeypatch):
         inside = IncidentChain([incident(0, 3, HOUR_MS + 10)], 2 * HOUR_MS)
@@ -326,13 +322,13 @@ def test_lone_action_kept_when_a_deeper_node_is_capped(monkeypatch):
     assert len(child.children) + len(child.untried) == 2
     assert list(result.scores) == [stay]
 
-    searched = []
+    searched, pool = [], TreePool(world, model, 0)
     search = lowlevel.mcts_search
     monkeypatch.setattr(lowlevel, "mcts_search",
                         lambda *a, **k: searched.append(1) or search(*a, **k))
     for iterations in (1, 2):
         params = MCTSParams(iterations=iterations)
-        action = plan_region_allocations(state, world, model, params, 2, 0)[0].action
+        action = plan_region_allocations(state, pool, params, 2, 0)[0].action
         assert searched == []
         assert action == stay
         assert action == reference(oracles.plan_region_allocations, state, world,
@@ -340,7 +336,7 @@ def test_lone_action_kept_when_a_deeper_node_is_capped(monkeypatch):
     # one idle agent and three free depots: one iteration still lists two
     # actions, so the region is searched, each tree scoring the first
     alone, params = fresh_state(world, [0]), MCTSParams(iterations=1)
-    plan = plan_region_allocations(alone, world, model, params, 2, 0)[0]
+    plan = plan_region_allocations(alone, pool, params, 2, 0)[0]
     assert len(searched) == 2
     assert plan.scores == reference(oracles.plan_region_allocations, alone, world,
                                     model, params, 2, 0)[0].scores

@@ -60,32 +60,13 @@ def pool_for(world, model, helpers=1):
 @given(case=tiny_plans())
 def test_pool_plan_equals_in_process_plan(case):
     state, world, model, params, n_samples, seed = case
-    alone = plan_region_allocations(state, world, model, params, n_samples, seed)
+    alone = plan_region_allocations(state, TreePool(world, model, 0), params, n_samples, seed)
     with pool_for(world, model) as pool:
-        pooled = plan_region_allocations(state, world, model, params,
-                                         n_samples, seed, pool=pool)
+        pooled = plan_region_allocations(state, pool, params, n_samples, seed)
     assert {r: p.action for r, p in pooled.items()} == \
         {r: p.action for r, p in alone.items()}
     assert {r: p.scores for r, p in pooled.items()} == \
         {r: p.scores for r, p in alone.items()}
-
-
-def test_pool_of_another_world_rejected():
-    world = build_world()
-    state = fresh_state(world, [0])
-    model = DemandModel(rates=np.ones(10))
-    with pool_for(build_world(), model) as pool, pytest.raises(ValueError, match="world"):
-        plan_region_allocations(state, world, model, MCTSParams(iterations=4),
-                                2, 0, pool=pool)
-
-
-def test_pool_of_another_model_rejected():
-    world = build_world()
-    state = fresh_state(world, [0])
-    with pool_for(world, DemandModel(rates=np.ones(10))) as pool, \
-            pytest.raises(ValueError, match="model"):
-        plan_region_allocations(state, world, DemandModel(rates=np.ones(10)),
-                                MCTSParams(iterations=4), 2, 0, pool=pool)
 
 
 def test_plans_of_two_models_on_one_world_equal_reference():
@@ -98,10 +79,9 @@ def test_plans_of_two_models_on_one_world_equal_reference():
     for model in (DemandModel(rates=left), DemandModel(rates=left[::-1])):
         expected = reference(oracles.plan_region_allocations, state, world,
                              model, params, 3, 5)
-        alone = plan_region_allocations(state, world, model, params, 3, 5)
+        alone = plan_region_allocations(state, TreePool(world, model, 0), params, 3, 5)
         with pool_for(world, model) as pool:
-            pooled = plan_region_allocations(state, world, model, params, 3, 5,
-                                             pool=pool)
+            pooled = plan_region_allocations(state, pool, params, 3, 5)
         for plans in (alone, pooled):
             assert {r: p.action for r, p in plans.items()} == \
                 {r: p.action for r, p in expected.items()}
@@ -125,9 +105,8 @@ def test_lone_action_region_decided_by_pool_tasks(monkeypatch):
     plans = []
     for helpers in (0, 1):
         with pool_for(world, model, helpers) as pool:
-            plans.append(plan_region_allocations(state, world, model,
-                                                 MCTSParams(iterations=8), 4, 0,
-                                                 pool=pool)[0])
+            plans.append(plan_region_allocations(state, pool,
+                                                 MCTSParams(iterations=8), 4, 0)[0])
     stay = ((0, 0),)
     assert received == [[(0, i, stay) for i in range(4)]] * 2
     assert plans[0].action == plans[1].action == stay
@@ -147,12 +126,12 @@ def test_reply_pickles_only_builtins(depots, homes):
     state = fresh_state(world, homes)
     rs = lowlevel.decompose(state, 0, world)
     params = MCTSParams(iterations=8)
-    [lone] = joint_actions(rs, 2) if len(depots) == 1 else [None]
+    [lone] = joint_actions(rs.state, rs.slots, 2) if len(depots) == 1 else [None]
     scores = TreePool(world, model, 0)._search(rs, 0, lone, 0, params)
     assert scores
-    assert set(scores) <= set(joint_actions(rs))
+    assert set(scores) <= set(joint_actions(rs.state, rs.slots))
     assert b"hierdispatch" not in pickle.dumps(scores)
-    plan = plan_region_allocations(state, world, model, params, 2, 0)[0]
+    plan = plan_region_allocations(state, TreePool(world, model, 0), params, 2, 0)[0]
     chain = IncidentChain([incident(0, 5, 60_000)], params.horizon_ms)
     tree_scores = lowlevel.mcts_search(rs, chain, world, params).scores
     assert plan.scores and tree_scores
@@ -263,8 +242,8 @@ def test_tree_error_in_helper_raised_in_caller(monkeypatch):
     search_in_helpers(monkeypatch, fail)
     with deadline(BOUND_S), pool_for(world, model) as pool:
         with pytest.raises(Boom, match="tree failed") as info:
-            plan_region_allocations(state, world, model, MCTSParams(iterations=4),
-                                    n_samples=4, seed=0, pool=pool)
+            plan_region_allocations(state, pool, MCTSParams(iterations=4),
+                                    n_samples=4, seed=0)
         assert "in fail" in str(info.value.__cause__)  # the helper's traceback
         assert multiprocessing.active_children() == []
 
@@ -282,8 +261,8 @@ def test_error_that_cannot_be_unpickled_still_raised(monkeypatch):
     search_in_helpers(monkeypatch, fail)
     with deadline(BOUND_S), pool_for(world, model) as pool:
         with pytest.raises(RuntimeError, match=r"TwoArgs: tree failed \(7\)"):
-            plan_region_allocations(state, world, model, MCTSParams(iterations=4),
-                                    n_samples=4, seed=0, pool=pool)
+            plan_region_allocations(state, pool, MCTSParams(iterations=4),
+                                    n_samples=4, seed=0)
 
 
 def test_killed_helper_raises_in_caller(monkeypatch):
@@ -291,8 +270,8 @@ def test_killed_helper_raises_in_caller(monkeypatch):
     search_in_helpers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     with deadline(BOUND_S), pool_for(world, model) as pool:
         with pytest.raises(RuntimeError, match=f"exit code -{signal.SIGKILL}"):
-            plan_region_allocations(state, world, model, MCTSParams(iterations=4),
-                                    n_samples=4, seed=0, pool=pool)
+            plan_region_allocations(state, pool, MCTSParams(iterations=4),
+                                    n_samples=4, seed=0)
         assert multiprocessing.active_children() == []
 
 
@@ -300,25 +279,23 @@ def test_pool_reused_across_decisions(starts):
     world, state, model = busy_region()
     with pool_for(world, model) as pool:
         for seed in range(3):
-            alone = plan_region_allocations(state, world, model,
+            alone = plan_region_allocations(state, TreePool(world, model, 0),
                                             MCTSParams(iterations=8), 3, seed)
-            pooled = plan_region_allocations(state, world, model,
-                                             MCTSParams(iterations=8), 3, seed,
-                                             pool=pool)
+            pooled = plan_region_allocations(state, pool, MCTSParams(iterations=8), 3, seed)
             assert pooled[0].scores == alone[0].scores
     assert starts == [1]
 
 
 def test_no_fork_while_another_thread_runs(starts):
     world, state, model = busy_region()
-    alone = plan_region_allocations(state, world, model, MCTSParams(iterations=8), 3, 0)
+    alone = plan_region_allocations(state, TreePool(world, model, 0),
+                                    MCTSParams(iterations=8), 3, 0)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(BOUND_S,))
     thread.start()
     try:
         with pool_for(world, model) as pool:
-            pooled = plan_region_allocations(state, world, model,
-                                             MCTSParams(iterations=8), 3, 0, pool=pool)
+            pooled = plan_region_allocations(state, pool, MCTSParams(iterations=8), 3, 0)
     finally:
         release.set()
         thread.join(BOUND_S)

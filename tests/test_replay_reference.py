@@ -161,4 +161,4 @@ def test_joint_actions_equal_reference(case, busy, cap):
         if busy >> agent.id & 1:
             agent.status = AgentStatus.SERVICING
     rs = RegionState(0, state, world.depots)
-    assert joint_actions(rs, cap) == oracles.enumerate_actions(rs)[:cap]
+    assert joint_actions(state, rs.slots, cap) == oracles.enumerate_actions(rs)[:cap]
